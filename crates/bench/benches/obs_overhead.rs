@@ -1,6 +1,6 @@
 //! Overhead of the observability layer.
 //!
-//! Three variants of the same em3d/AS-COMA run at 70% pressure:
+//! Five variants of the same em3d/AS-COMA run at 70% pressure:
 //!
 //! * `baseline`       — plain `simulate` (no sink type parameter in play);
 //! * `noop_sink`      — `simulate_with_sink(.., NoopSink)`: emission
@@ -9,10 +9,14 @@
 //! * `stream_off`     — the cell-sweep streaming entry point
 //!   (`run_cells_streamed`) with streaming disabled: must also stay
 //!   within the 2% budget, so wiring telemetry through the sweep path
-//!   costs nothing when nobody is watching.
+//!   costs nothing when nobody is watching;
+//! * `observed`       — `simulate_measured_streamed`, the path behind
+//!   `bench report`, `inspect trace` and `bench watch`: recording, the
+//!   online lifecycle summary, the metrics registry and snapshots.  Its
+//!   cost over baseline is printed per event, advisory only (no budget).
 //!
 //! The variants are sampled *interleaved* (A, B, C, A, B, C, ...) so that
-//! clock-frequency drift over the bench's lifetime biases all three
+//! clock-frequency drift over the bench's lifetime biases all of them
 //! equally; sequential blocks were observed to skew later variants by
 //! several percent on boost-clocked hosts.
 //!
@@ -20,7 +24,7 @@
 //! `cargo bench -p ascoma-bench --bench obs_overhead`.
 
 use ascoma::experiments::{run_cells_streamed, StreamCell};
-use ascoma::machine::{simulate, simulate_with_sink};
+use ascoma::machine::{simulate, simulate_measured_streamed, simulate_with_sink};
 use ascoma::{Arch, SimConfig};
 use ascoma_obs::{NoopSink, VecSink};
 use ascoma_workloads::{App, SizeClass};
@@ -48,6 +52,8 @@ fn median(mut xs: Vec<f64>) -> f64 {
 fn main() {
     let trace = App::Em3d.build(SizeClass::Tiny, 4096);
     let cfg = SimConfig::at_pressure(0.7);
+    // The `observed` variant's window and snapshot cadence, in cycles.
+    let obs_window = 100_000;
 
     let mut run_base = || {
         black_box(simulate(black_box(&trace), Arch::AsComa, black_box(&cfg)));
@@ -79,29 +85,54 @@ fn main() {
             None,
         ));
     };
+    let mut run_obs = || {
+        black_box(simulate_measured_streamed(
+            black_box(&trace),
+            Arch::AsComa,
+            black_box(&cfg),
+            obs_window,
+            obs_window,
+            |s| {
+                black_box(s);
+            },
+        ));
+    };
 
     // Warm-up: one batch of each.
     run_base();
     run_noop();
     run_vec();
     run_off();
+    run_obs();
+    let (_r, events, _reg) =
+        simulate_measured_streamed(&trace, Arch::AsComa, &cfg, obs_window, obs_window, |_| {});
+    let events = events.len() as f64;
 
     let mut base = Vec::with_capacity(SAMPLES);
     let mut noop = Vec::with_capacity(SAMPLES);
     let mut vec = Vec::with_capacity(SAMPLES);
     let mut off = Vec::with_capacity(SAMPLES);
+    let mut obs = Vec::with_capacity(SAMPLES);
     for _ in 0..SAMPLES {
         base.push(batch_ns(&mut run_base));
         noop.push(batch_ns(&mut run_noop));
         vec.push(batch_ns(&mut run_vec));
         off.push(batch_ns(&mut run_off));
+        obs.push(batch_ns(&mut run_obs));
     }
 
-    let (base, noop, vec, off) = (median(base), median(noop), median(vec), median(off));
+    let (base, noop, vec, off, obs) = (
+        median(base),
+        median(noop),
+        median(vec),
+        median(off),
+        median(obs),
+    );
     println!("obs/baseline   {base:>12.0} ns/iter");
     println!("obs/noop_sink  {noop:>12.0} ns/iter");
     println!("obs/vec_sink   {vec:>12.0} ns/iter");
     println!("obs/stream_off {off:>12.0} ns/iter");
+    println!("obs/observed   {obs:>12.0} ns/iter");
 
     let overhead = noop / base - 1.0;
     let off_overhead = off / base - 1.0;
@@ -113,6 +144,10 @@ fn main() {
     println!(
         "stream-off overhead vs baseline: {:+.2}%",
         off_overhead * 100.0
+    );
+    println!(
+        "observed over baseline:          {:+.1} ns/event ({events:.0} events, advisory)",
+        (obs - base) / events
     );
     if overhead > 0.02 {
         println!("WARNING: no-op sink overhead exceeds the 2% budget");

@@ -26,8 +26,8 @@ use ascoma_mem::cache::{DirectMappedCache, Lookup};
 use ascoma_mem::timing::LocalMemory;
 use ascoma_net::{Network, Topology};
 use ascoma_obs::{
-    summarize, BackoffKind, Controller, Event, EvictCause, MapMode, MetricsRegistry, MissLoc,
-    NoopSink, Sink, Snapshot, StreamSink, ThresholdStep, TimedEvent, VecSink, WindowSample,
+    BackoffKind, Controller, Event, EvictCause, MapMode, MetricsRegistry, MissLoc, NoopSink, Sink,
+    Snapshot, StreamSink, SummaryFold, ThresholdStep, TimedEvent, VecSink, WindowSample,
 };
 use ascoma_proto::{Directory, FetchClass, ProtoStats};
 use ascoma_sim::addr::{VAddr, VPage};
@@ -1785,9 +1785,17 @@ pub fn simulate_with_sink<S: Sink>(
 /// assert!(r.obs.is_some());
 /// ```
 pub fn simulate_traced(trace: &Trace, arch: Arch, cfg: &SimConfig) -> (RunResult, Vec<TimedEvent>) {
-    let (mut result, sink) = simulate_with_sink(trace, arch, cfg, VecSink::new());
-    result.obs = Some(summarize(&sink.events, trace.nodes));
-    (result, sink.events)
+    let (mut result, (rec, summary)) =
+        simulate_with_sink(trace, arch, cfg, observed_sink(trace.nodes));
+    result.obs = Some(summary.finish());
+    (result, rec.events)
+}
+
+/// The recording sink behind every observed entry point: events are
+/// recorded and folded into the lifecycle summary as they are emitted,
+/// so no entry point re-reads the recorded stream.
+fn observed_sink(nodes: usize) -> (VecSink, SummaryFold) {
+    (VecSink::new(), SummaryFold::new(nodes))
 }
 
 /// Run `trace` with full tracing *and* metrics: like [`simulate_traced`],
@@ -1796,9 +1804,10 @@ pub fn simulate_traced(trace: &Trace, arch: Arch, cfg: &SimConfig) -> (RunResult
 /// as [`RunResult::metrics`].  Returns the result, the event stream, and
 /// the registry (for report rendering).
 ///
-/// The registry is a pure fold over the deterministic event stream, so
-/// the digest is byte-identical across repeated runs and across
-/// parallel-job counts.
+/// The registry is a pure fold over the deterministic event stream,
+/// built online as events are emitted, so the digest is byte-identical
+/// across repeated runs and across parallel-job counts.  This is
+/// [`simulate_measured_streamed`] with snapshots off.
 ///
 /// ```
 /// use ascoma::machine::simulate_measured;
@@ -1819,10 +1828,7 @@ pub fn simulate_measured(
     cfg: &SimConfig,
     window: Cycles,
 ) -> (RunResult, Vec<TimedEvent>, MetricsRegistry) {
-    let (mut result, events) = simulate_traced(trace, arch, cfg);
-    let registry = MetricsRegistry::from_events(&events, trace.nodes, window);
-    result.metrics = Some(registry.digest());
-    (result, events, registry)
+    simulate_measured_streamed(trace, arch, cfg, window, 0, |_| {})
 }
 
 /// Run `trace` while streaming live [`Snapshot`]s of registry state to
@@ -1852,11 +1858,13 @@ pub fn simulate_streamed<F: FnMut(Snapshot)>(
 }
 
 /// [`simulate_measured`] with live streaming: records the full event
-/// stream *and* emits [`Snapshot`]s at `cadence`, building the registry
-/// online instead of from the recorded events.  The result (including
-/// the attached obs summary and metrics digest) is byte-identical to
-/// [`simulate_measured`]'s — the online and offline registry folds agree
-/// by construction, and `tests/streaming.rs` asserts it end to end.
+/// stream *and* emits [`Snapshot`]s at `cadence` (0 = only the final
+/// frame).  The lifecycle summary and the registry are both folded
+/// online, once per event, while the run executes; the recorded stream
+/// is returned untouched.  The result (including the attached obs
+/// summary and metrics digest) equals what the offline folds
+/// ([`ascoma_obs::summarize`], [`MetricsRegistry::from_events`]) give
+/// over the returned events — `tests/online_fold.rs` asserts it.
 pub fn simulate_measured_streamed<F: FnMut(Snapshot)>(
     trace: &Trace,
     arch: Arch,
@@ -1865,13 +1873,19 @@ pub fn simulate_measured_streamed<F: FnMut(Snapshot)>(
     cadence: Cycles,
     on_snap: F,
 ) -> (RunResult, Vec<TimedEvent>, MetricsRegistry) {
-    let sink = StreamSink::new(VecSink::new(), trace.nodes, window, cadence, on_snap);
+    let sink = StreamSink::new(
+        observed_sink(trace.nodes),
+        trace.nodes,
+        window,
+        cadence,
+        on_snap,
+    );
     let (mut result, mut sink) = simulate_with_sink(trace, arch, cfg, sink);
     sink.snapshot_now(result.cycles);
-    let (inner, registry) = sink.into_parts();
-    result.obs = Some(summarize(&inner.events, trace.nodes));
+    let ((rec, summary), registry) = sink.into_parts();
+    result.obs = Some(summary.finish());
     result.metrics = Some(registry.digest());
-    (result, inner.events, registry)
+    (result, rec.events, registry)
 }
 
 #[cfg(test)]

@@ -121,7 +121,8 @@ impl MissLoc {
         }
     }
 
-    /// All locations, in serialization order.
+    /// All locations, in serialization order; `loc as usize` is the
+    /// location's index here.
     pub const ALL: [MissLoc; 5] = [
         MissLoc::Home,
         MissLoc::Scoma,
@@ -342,7 +343,59 @@ pub enum Event {
     },
 }
 
+/// Number of [`Event`] variants.
+pub const KINDS: usize = 18;
+
+/// Kind tags in [`Event::kind_index`] order (variant declaration order):
+/// `KIND_NAMES[e.kind_index()] == e.kind()` for every event.
+pub const KIND_NAMES: [&str; KINDS] = [
+    "page_mapped",
+    "page_upgraded",
+    "upgrade_declined",
+    "page_evicted",
+    "daemon_epoch",
+    "threshold_backoff",
+    "refetch_crossing",
+    "free_pool",
+    "threshold",
+    "miss",
+    "net",
+    "mem",
+    "miss_serviced",
+    "net_delay",
+    "remap_cost",
+    "reclaim_latency",
+    "phase_change",
+    "tune_applied",
+];
+
 impl Event {
+    /// Dense variant index in `0..KINDS`, the slot of [`Self::kind`] in
+    /// [`KIND_NAMES`] — lets per-kind tallies live in a flat array.
+    #[inline]
+    pub fn kind_index(&self) -> usize {
+        match self {
+            Event::PageMapped { .. } => 0,
+            Event::PageUpgraded { .. } => 1,
+            Event::UpgradeDeclined { .. } => 2,
+            Event::PageEvicted { .. } => 3,
+            Event::DaemonEpoch { .. } => 4,
+            Event::ThresholdBackoff { .. } => 5,
+            Event::RefetchCrossing { .. } => 6,
+            Event::FreePoolSample { .. } => 7,
+            Event::ThresholdSample { .. } => 8,
+            Event::MissSample { .. } => 9,
+            Event::NetSample { .. } => 10,
+            Event::MemSample { .. } => 11,
+            Event::MissServiced { .. } => 12,
+            Event::NetDelay { .. } => 13,
+            Event::RemapCost { .. } => 14,
+            Event::ReclaimLatency { .. } => 15,
+            Event::PhaseChange { .. } => 16,
+            Event::TuneApplied { .. } => 17,
+        }
+    }
+
     /// Stable snake_case kind tag used in serialized streams.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -604,9 +657,9 @@ impl TimedEvent {
 mod tests {
     use super::*;
 
-    #[test]
-    fn kinds_are_stable_and_distinct() {
-        let evs = [
+    /// One event of every variant, in declaration order.
+    fn one_of_each() -> [Event; KINDS] {
+        [
             Event::PageMapped {
                 node: NodeId(0),
                 page: VPage(1),
@@ -714,11 +767,31 @@ mod tests {
                 period_to: 100_000,
                 cause: Cause::RefetchHigh,
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn kinds_are_stable_and_distinct() {
+        let evs = one_of_each();
         let mut kinds: Vec<_> = evs.iter().map(|e| e.kind()).collect();
         kinds.sort_unstable();
         kinds.dedup();
         assert_eq!(kinds.len(), evs.len());
+    }
+
+    #[test]
+    fn kind_index_names_every_variant() {
+        for (i, e) in one_of_each().iter().enumerate() {
+            assert_eq!(e.kind_index(), i);
+            assert_eq!(KIND_NAMES[e.kind_index()], e.kind());
+        }
+    }
+
+    #[test]
+    fn miss_loc_discriminant_is_its_all_index() {
+        for (i, loc) in MissLoc::ALL.iter().enumerate() {
+            assert_eq!(*loc as usize, i);
+        }
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! * exporters to JSONL and Chrome `trace_event` JSON (loadable in
 //!   Perfetto / `chrome://tracing`) in [`export`];
 //! * a [`summary`] API folding a trace back into per-page lifecycle
-//!   histories, per-node threshold trajectories and daemon-epoch records;
+//!   histories, per-node threshold trajectories and daemon-epoch records,
+//!   online while a run executes ([`SummaryFold`] as a sink) or offline
+//!   over a recorded trace;
 //! * a [`metrics`] registry folding measurement events into per-node,
 //!   per-class latency histograms, windowed time series, and hot-page
 //!   tallies, with an integer-only [`MetricsDigest`] compared by
@@ -39,6 +41,7 @@
 pub mod control;
 pub mod event;
 pub mod export;
+pub mod hash;
 pub mod import;
 pub mod json;
 pub mod metrics;
@@ -50,12 +53,12 @@ pub use control::{
     replay_tunes, Cause, Controller, ControllerParams, ControllerSummary, Decision, KnobStep,
     NodeControllerSummary, Phase, PhaseChangeInfo, PhaseStep, TuneInfo, WindowSample,
 };
-pub use event::{BackoffKind, Event, EvictCause, MapMode, MissLoc, TimedEvent};
+pub use event::{BackoffKind, Event, EvictCause, MapMode, MissLoc, TimedEvent, KINDS, KIND_NAMES};
 pub use import::{parse_event_line, parse_jsonl};
 pub use metrics::{HistStat, MetricsDigest, MetricsRegistry, MetricsSink};
 pub use sink::{JsonlSink, NoopSink, RingSink, Sink, VecSink};
 pub use snapshot::{channel_sink, parse_stream_line, NodeSnap, Snapshot, StreamEvent, StreamSink};
 pub use summary::{
     summarize, summarize_lossy, DaemonEpochRecord, LifecycleViolation, PageLifecycle, Summary,
-    ThresholdStep,
+    SummaryFold, ThresholdStep,
 };

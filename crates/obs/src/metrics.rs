@@ -10,7 +10,8 @@
 //! field is an integer (see [`ascoma_sim::hist::Histogram::percentile`])
 //! which makes digests directly comparable by `bench diff`.
 
-use crate::event::{Event, MissLoc, TimedEvent};
+use crate::event::{Event, MissLoc, TimedEvent, KINDS, KIND_NAMES};
+use crate::hash::FxHashMap;
 use crate::sink::Sink;
 use ascoma_sim::hist::{HistDigest, Histogram};
 use ascoma_sim::Cycles;
@@ -85,17 +86,22 @@ fn series_add(series: &mut Vec<WindowPoint>, window: u64, delta: u64) {
 /// Counters, histograms, time-series and hot-page tallies for one run.
 ///
 /// Fold events in with [`Self::fold`] (any order consistent with the
-/// stream; the registry state depends only on stream content).
+/// stream; the registry state depends only on stream content).  A fold
+/// is O(1): kind tallies are a flat array indexed by
+/// [`Event::kind_index`], miss classes index by discriminant, and the
+/// hot-page set is a deterministically hashed table; sorted views are
+/// built only when read ([`Self::counters`], [`Self::hot_pages`],
+/// [`Self::digest`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsRegistry {
     /// Time-series window in cycles (0 disables windowed series).
     window: Cycles,
     /// Per-node histograms and series (grown on demand).
     nodes: Vec<NodeMetrics>,
-    /// Events folded, by kind tag.
-    counters: BTreeMap<&'static str, u64>,
+    /// Events folded, indexed by [`Event::kind_index`].
+    counters: [u64; KINDS],
     /// Capacity-refetch tallies per `(node, page)` — the hot-page set.
-    hot_pages: BTreeMap<(u16, u64), u64>,
+    hot_pages: FxHashMap<(u16, u64), u64>,
     /// Controller phase dwell (windows spent in a phase before leaving
     /// it), machine-wide, fed by `PhaseChange` events.
     ctl_dwell: Histogram,
@@ -110,8 +116,8 @@ impl MetricsRegistry {
         Self {
             window,
             nodes: vec![NodeMetrics::default(); nodes],
-            counters: BTreeMap::new(),
-            hot_pages: BTreeMap::new(),
+            counters: [0; KINDS],
+            hot_pages: FxHashMap::default(),
             ctl_dwell: Histogram::new(),
             ctl_causes: BTreeMap::new(),
         }
@@ -127,14 +133,22 @@ impl MetricsRegistry {
         &self.nodes
     }
 
-    /// Event counts by kind tag, sorted by kind.
+    /// Event counts by kind tag, sorted by kind; kinds never seen are
+    /// left out.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
+        let mut seen: Vec<(&'static str, u64)> = KIND_NAMES
+            .iter()
+            .zip(self.counters)
+            .filter(|&(_, n)| n > 0)
+            .map(|(&k, n)| (k, n))
+            .collect();
+        seen.sort_unstable_by_key(|&(k, _)| k);
+        seen.into_iter()
     }
 
     /// Total events folded so far (sum over every kind counter).
     pub fn total_events(&self) -> u64 {
-        self.counters.values().sum()
+        self.counters.iter().sum()
     }
 
     /// The `n` hottest `(node, page)` pairs by capacity-refetch count,
@@ -155,10 +169,13 @@ impl MetricsRegistry {
         &mut self.nodes[idx]
     }
 
-    /// Fold one event into the registry.
+    /// Fold one event into the registry.  The series window ordinal
+    /// (`te.cycle.checked_div(window)`, `None` when windowing is off) is
+    /// computed only by the arms that feed a series.
+    #[inline]
     pub fn fold(&mut self, te: &TimedEvent) {
-        *self.counters.entry(te.event.kind()).or_insert(0) += 1;
-        let w = te.cycle.checked_div(self.window).unwrap_or(0);
+        self.counters[te.event.kind_index()] += 1;
+        let window = self.window;
         match te.event {
             Event::MissServiced {
                 node,
@@ -167,15 +184,10 @@ impl MetricsRegistry {
                 refetch,
                 cycles,
             } => {
-                let windowed = self.window != 0;
                 let nm = self.node_mut(node.0);
-                let li = MissLoc::ALL
-                    .iter()
-                    .position(|&l| l == loc)
-                    .unwrap_or_default();
-                nm.miss_service[li].record(cycles);
+                nm.miss_service[loc as usize].record(cycles);
                 if refetch {
-                    if windowed {
+                    if let Some(w) = te.cycle.checked_div(window) {
                         series_add(&mut nm.refetch_rate, w, 1);
                     }
                     *self.hot_pages.entry((node.0, page.0)).or_insert(0) += 1;
@@ -193,19 +205,17 @@ impl MetricsRegistry {
             Event::FreePoolSample {
                 node, free, low, ..
             } => {
-                let windowed = self.window != 0;
                 let nm = self.node_mut(node.0);
                 nm.last_free = free as u64;
                 nm.last_low = low as u64;
-                if windowed {
+                if let Some(w) = te.cycle.checked_div(window) {
                     series_set_last(&mut nm.free_pool, w, free as u64);
                 }
             }
             Event::ThresholdSample { node, threshold } => {
-                let windowed = self.window != 0;
                 let nm = self.node_mut(node.0);
                 nm.last_threshold = threshold as u64;
-                if windowed {
+                if let Some(w) = te.cycle.checked_div(window) {
                     series_set_last(&mut nm.threshold, w, threshold as u64);
                 }
             }
@@ -239,7 +249,9 @@ impl MetricsRegistry {
         }
     }
 
-    /// Build a registry by folding a recorded event stream.
+    /// Build a registry by folding a recorded event stream — the offline
+    /// path for imported traces; live runs fold through [`MetricsSink`]
+    /// or [`crate::StreamSink`] instead.
     pub fn from_events(events: &[TimedEvent], nodes: usize, window: Cycles) -> Self {
         let mut reg = Self::new(nodes, window);
         for te in events {
@@ -289,11 +301,8 @@ impl MetricsRegistry {
             name: "controller_dwell".to_string(),
             stat: self.ctl_dwell.digest(),
         });
-        let mut counters: Vec<(String, u64)> = self
-            .counters
-            .iter()
-            .map(|(&k, &v)| (k.to_string(), v))
-            .collect();
+        let mut counters: Vec<(String, u64)> =
+            self.counters().map(|(k, v)| (k.to_string(), v)).collect();
         counters.extend(
             self.ctl_causes
                 .iter()
@@ -500,6 +509,58 @@ mod tests {
         // here but ordering is (count desc, key asc).
         assert_eq!(hot, vec![((1, 7), 2), ((0, 7), 1)]);
         assert_eq!(reg.hot_pages(1).len(), 1);
+    }
+
+    #[test]
+    fn hot_pages_break_ties_on_key_ascending() {
+        // 200 pairs with equal refetch counts, folded in an order that is
+        // neither key order nor its reverse: the ranking must still come
+        // out key-ascending, whatever order the hashed table holds them.
+        let mut reg = MetricsRegistry::new(4, DEFAULT_WINDOW);
+        for round in 0..3u64 {
+            for i in 0..200u64 {
+                let k = (i * 73) % 200;
+                let te = TimedEvent {
+                    cycle: round * 1_000 + i,
+                    event: miss((k % 4) as u16, 1_000 - k, MissLoc::Remote2, true, 50),
+                };
+                reg.fold(&te);
+            }
+        }
+        // One hotter pair ranks first regardless of its key.
+        for _ in 0..4 {
+            reg.fold(&TimedEvent {
+                cycle: 9_999,
+                event: miss(3, 999_999, MissLoc::Remote3, true, 50),
+            });
+        }
+        let hot = reg.hot_pages(usize::MAX);
+        assert_eq!(hot.len(), 201);
+        assert_eq!(hot[0], ((3, 999_999), 4));
+        let mut tied: Vec<(u16, u64)> = (0..200u64).map(|k| ((k % 4) as u16, 1_000 - k)).collect();
+        tied.sort_unstable();
+        let ranked: Vec<(u16, u64)> = hot[1..].iter().map(|&(k, _)| k).collect();
+        assert_eq!(ranked, tied);
+        assert!(hot[1..].iter().all(|&(_, n)| n == 3));
+        assert_eq!(reg.hot_pages(5), hot[..5].to_vec());
+    }
+
+    #[test]
+    fn counters_list_seen_kinds_sorted_by_name() {
+        let reg = MetricsRegistry::from_events(&stream(), 2, DEFAULT_WINDOW);
+        let got: Vec<(&str, u64)> = reg.counters().collect();
+        assert_eq!(
+            got,
+            vec![
+                ("free_pool", 1),
+                ("miss_serviced", 4),
+                ("net_delay", 1),
+                ("reclaim_latency", 1),
+                ("remap_cost", 1),
+                ("threshold", 1),
+            ]
+        );
+        assert_eq!(reg.total_events(), 9);
     }
 
     #[test]

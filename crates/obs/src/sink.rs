@@ -33,6 +33,23 @@ impl Sink for NoopSink {
     fn emit(&mut self, _cycle: Cycles, _event: Event) {}
 }
 
+/// Two sinks side by side: every event goes to both, first `A` then `B`.
+/// The observed run paths compose recording with online folds this way,
+/// e.g. `(VecSink, SummaryFold)`, so each event is observed once.
+impl<A: Sink, B: Sink> Sink for (A, B) {
+    const ENABLED: bool = A::ENABLED || B::ENABLED;
+
+    #[inline]
+    fn emit(&mut self, cycle: Cycles, event: Event) {
+        if A::ENABLED {
+            self.0.emit(cycle, event);
+        }
+        if B::ENABLED {
+            self.1.emit(cycle, event);
+        }
+    }
+}
+
 /// Records every event in order (the exporter/summary work off this).
 #[derive(Debug, Clone, Default)]
 pub struct VecSink {
@@ -190,6 +207,19 @@ mod tests {
         }
         assert_eq!(s.events.len(), 5);
         assert!(s.events.windows(2).all(|w| w[0].cycle < w[1].cycle));
+    }
+
+    #[test]
+    fn pair_sink_feeds_both_halves_in_order() {
+        const { assert!(!<(NoopSink, NoopSink)>::ENABLED) };
+        const { assert!(<(NoopSink, VecSink)>::ENABLED) };
+        let mut s = (VecSink::new(), RingSink::new(2));
+        for i in 0..3 {
+            s.emit(i, ev(i));
+        }
+        assert_eq!(s.0.events.len(), 3);
+        let tail: Vec<u64> = s.1.into_events().iter().map(|e| e.cycle).collect();
+        assert_eq!(tail, vec![1, 2]);
     }
 
     #[test]

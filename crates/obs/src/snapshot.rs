@@ -198,6 +198,7 @@ impl<S: Sink, F: FnMut(Snapshot)> StreamSink<S, F> {
 impl<S: Sink, F: FnMut(Snapshot)> Sink for StreamSink<S, F> {
     const ENABLED: bool = true;
 
+    #[inline]
     fn emit(&mut self, cycle: Cycles, event: Event) {
         if S::ENABLED {
             self.inner.emit(cycle, event);

@@ -2,8 +2,14 @@
 //! lifecycle histories, per-node threshold trajectories, and daemon
 //! epoch records — the analysis behind `inspect trace --summary` and
 //! the optional digest attached to `RunResult`.
+//!
+//! [`SummaryFold`] is the one fold: observed runs feed it as a [`Sink`]
+//! while they execute, and [`summarize`] / [`summarize_lossy`] loop it
+//! over a recorded or imported trace.
 
 use crate::event::{BackoffKind, Event, MapMode, TimedEvent};
+use crate::hash::FxHashMap;
+use crate::sink::Sink;
 use ascoma_sim::Cycles;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -127,7 +133,7 @@ impl fmt::Display for LifecycleViolation {
 }
 
 /// Per-(node, page) legality state while folding a stream.
-#[derive(Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy)]
 struct PageState {
     /// The pair has been mapped at least once (any mode).
     mapped: bool,
@@ -135,135 +141,132 @@ struct PageState {
     frame: bool,
 }
 
-/// Fold `events` into a [`Summary`].  `nodes` sizes the per-node
-/// trajectory table; events from nodes `>= nodes` grow it as needed.
-///
-/// # Panics
-///
-/// On an illegal page-lifecycle sequence — an `Evicted` before any
-/// frame-granting map, a second frame granted without an eviction in
-/// between, a refault of a never-mapped page.  A full event stream from
-/// one run must be legal; use [`summarize_lossy`] for truncated traces
-/// (ring buffers, partial JSONL files) where a cut-off prefix makes
-/// such sequences expected.
-pub fn summarize(events: &[TimedEvent], nodes: usize) -> Summary {
-    let (s, violations) = fold(events, nodes);
-    if let Some(v) = violations.first() {
-        panic!("illegal page lifecycle in event stream: {v}");
-    }
-    s
+/// One (node, page) pair's fold state: its public history and its
+/// legality state, kept together so a transition costs one lookup.
+#[derive(Debug, Clone, Copy)]
+struct PageSlot {
+    life: PageLifecycle,
+    state: PageState,
 }
 
-/// Like [`summarize`], but collects lifecycle violations instead of
-/// panicking — for traces with a truncated prefix, where the stream may
-/// legitimately open mid-lifecycle.
-pub fn summarize_lossy(events: &[TimedEvent], nodes: usize) -> (Summary, Vec<LifecycleViolation>) {
-    fold(events, nodes)
+/// The incremental form of [`summarize`]: feed events one at a time
+/// with [`Self::step`] (or use it as a [`Sink`], so the summary is built
+/// while a run executes), then take the [`Summary`] with
+/// [`Self::finish`] or [`Self::finish_lossy`].
+///
+/// A step is O(1): each (node, page) pair's lifecycle and legality state
+/// share one slot of a deterministically hashed table, and the sorted
+/// [`Summary::pages`] map is built once, at finish.
+#[derive(Debug, Clone)]
+pub struct SummaryFold {
+    /// Everything but `pages`, which is built at finish.
+    summary: Summary,
+    pages: FxHashMap<(u16, u64), PageSlot>,
+    violations: Vec<LifecycleViolation>,
 }
 
-fn fold(events: &[TimedEvent], nodes: usize) -> (Summary, Vec<LifecycleViolation>) {
-    let mut s = Summary {
-        events: events.len(),
-        thresholds: vec![Vec::new(); nodes],
-        ..Summary::default()
-    };
-    let mut violations: Vec<LifecycleViolation> = Vec::new();
-    let mut life: BTreeMap<(u16, u64), PageState> = BTreeMap::new();
-
-    fn touch(
-        pages: &mut BTreeMap<(u16, u64), PageLifecycle>,
-        node: u16,
-        page: u64,
-        cycle: Cycles,
-    ) -> &mut PageLifecycle {
-        let entry = pages.entry((node, page)).or_insert_with(|| PageLifecycle {
-            first_cycle: cycle,
-            ..PageLifecycle::default()
-        });
-        entry.last_cycle = entry.last_cycle.max(cycle);
-        entry
+impl SummaryFold {
+    /// An empty fold.  `nodes` sizes the per-node trajectory table;
+    /// events from nodes `>= nodes` grow it as needed.
+    pub fn new(nodes: usize) -> Self {
+        Self {
+            summary: Summary {
+                thresholds: vec![Vec::new(); nodes],
+                ..Summary::default()
+            },
+            pages: FxHashMap::default(),
+            violations: Vec::new(),
+        }
     }
 
-    for te in events {
+    /// Fold one event.
+    #[inline]
+    pub fn step(&mut self, te: &TimedEvent) {
+        let s = &mut self.summary;
+        s.events += 1;
         s.last_cycle = s.last_cycle.max(te.cycle);
         if !te.event.is_sample() && !te.event.is_measurement() {
             s.transitions += 1;
         }
+        let cycle = te.cycle;
+        let violation = |node: u16, page: u64, detail: String| LifecycleViolation {
+            cycle,
+            node,
+            page,
+            detail,
+        };
         match te.event {
             Event::PageMapped { node, page, mode } => {
-                touch(&mut s.pages, node.0, page.0, te.cycle).maps += 1;
                 s.maps += 1;
-                let st = life.entry((node.0, page.0)).or_default();
+                let slot = touch(&mut self.pages, node.0, page.0, cycle);
+                slot.life.maps += 1;
+                let st = &mut slot.state;
                 let grants_frame = matches!(
                     mode,
                     MapMode::Scoma | MapMode::ScomaRefault | MapMode::Replica
                 );
                 if st.frame {
-                    violations.push(LifecycleViolation {
-                        cycle: te.cycle,
-                        node: node.0,
-                        page: page.0,
-                        detail: format!("mapped {mode:?} while already holding a frame"),
-                    });
+                    self.violations.push(violation(
+                        node.0,
+                        page.0,
+                        format!("mapped {mode:?} while already holding a frame"),
+                    ));
                 } else if st.mapped && mode != MapMode::ScomaRefault {
-                    violations.push(LifecycleViolation {
-                        cycle: te.cycle,
-                        node: node.0,
-                        page: page.0,
-                        detail: format!("mapped {mode:?} twice without a refault"),
-                    });
+                    self.violations.push(violation(
+                        node.0,
+                        page.0,
+                        format!("mapped {mode:?} twice without a refault"),
+                    ));
                 } else if !st.mapped && mode == MapMode::ScomaRefault {
-                    violations.push(LifecycleViolation {
-                        cycle: te.cycle,
-                        node: node.0,
-                        page: page.0,
-                        detail: "refault of a never-mapped page".to_string(),
-                    });
+                    self.violations.push(violation(
+                        node.0,
+                        page.0,
+                        "refault of a never-mapped page".to_string(),
+                    ));
                 }
                 st.mapped = true;
                 st.frame = grants_frame;
             }
             Event::PageUpgraded { node, page, .. } => {
-                touch(&mut s.pages, node.0, page.0, te.cycle).upgrades += 1;
                 s.upgrades += 1;
-                let st = life.entry((node.0, page.0)).or_default();
+                let slot = touch(&mut self.pages, node.0, page.0, cycle);
+                slot.life.upgrades += 1;
+                let st = &mut slot.state;
                 if !st.mapped {
-                    violations.push(LifecycleViolation {
-                        cycle: te.cycle,
-                        node: node.0,
-                        page: page.0,
-                        detail: "upgraded before any map".to_string(),
-                    });
+                    self.violations.push(violation(
+                        node.0,
+                        page.0,
+                        "upgraded before any map".to_string(),
+                    ));
                 } else if st.frame {
-                    violations.push(LifecycleViolation {
-                        cycle: te.cycle,
-                        node: node.0,
-                        page: page.0,
-                        detail: "upgraded while already holding a frame".to_string(),
-                    });
+                    self.violations.push(violation(
+                        node.0,
+                        page.0,
+                        "upgraded while already holding a frame".to_string(),
+                    ));
                 }
                 st.mapped = true;
                 st.frame = true;
             }
             Event::UpgradeDeclined { node, page } => {
-                touch(&mut s.pages, node.0, page.0, te.cycle).declined += 1;
                 s.declined += 1;
+                touch(&mut self.pages, node.0, page.0, cycle).life.declined += 1;
             }
             Event::PageEvicted { node, page, .. } => {
-                touch(&mut s.pages, node.0, page.0, te.cycle).evictions += 1;
                 s.evictions += 1;
-                let st = life.entry((node.0, page.0)).or_default();
+                let slot = touch(&mut self.pages, node.0, page.0, cycle);
+                slot.life.evictions += 1;
+                let st = &mut slot.state;
                 if !st.frame {
-                    violations.push(LifecycleViolation {
-                        cycle: te.cycle,
-                        node: node.0,
-                        page: page.0,
-                        detail: if st.mapped {
+                    self.violations.push(violation(
+                        node.0,
+                        page.0,
+                        if st.mapped {
                             "evicted with no frame held (double free)".to_string()
                         } else {
                             "evicted before any map".to_string()
                         },
-                    });
+                    ));
                 }
                 st.frame = false;
             }
@@ -278,7 +281,7 @@ fn fold(events: &[TimedEvent], nodes: usize) -> (Summary, Vec<LifecycleViolation
                     s.thresholds.resize(idx + 1, Vec::new());
                 }
                 s.thresholds[idx].push(ThresholdStep {
-                    cycle: te.cycle,
+                    cycle,
                     threshold: to,
                 });
             }
@@ -291,7 +294,7 @@ fn fold(events: &[TimedEvent], nodes: usize) -> (Summary, Vec<LifecycleViolation
                 reached_target,
             } => {
                 s.epochs.push(DaemonEpochRecord {
-                    cycle: te.cycle,
+                    cycle,
                     node: node.0,
                     epoch,
                     examined,
@@ -315,7 +318,91 @@ fn fold(events: &[TimedEvent], nodes: usize) -> (Summary, Vec<LifecycleViolation
             | Event::TuneApplied { .. } => {}
         }
     }
-    (s, violations)
+
+    /// The summary so far, with every lifecycle violation found —
+    /// for traces with a truncated prefix.
+    pub fn finish_lossy(self) -> (Summary, Vec<LifecycleViolation>) {
+        let mut s = self.summary;
+        s.pages = self
+            .pages
+            .into_iter()
+            .map(|(key, slot)| (key, slot.life))
+            .collect();
+        (s, self.violations)
+    }
+
+    /// The summary of a complete stream.
+    ///
+    /// # Panics
+    ///
+    /// On the first illegal page-lifecycle transition folded (see
+    /// [`summarize`]).
+    pub fn finish(self) -> Summary {
+        let (s, violations) = self.finish_lossy();
+        if let Some(v) = violations.first() {
+            panic!("illegal page lifecycle in event stream: {v}");
+        }
+        s
+    }
+}
+
+impl Sink for SummaryFold {
+    #[inline]
+    fn emit(&mut self, cycle: Cycles, event: Event) {
+        self.step(&TimedEvent { cycle, event });
+    }
+}
+
+/// The pair's slot, created on first sight, with `last_cycle` advanced.
+#[inline]
+fn touch(
+    pages: &mut FxHashMap<(u16, u64), PageSlot>,
+    node: u16,
+    page: u64,
+    cycle: Cycles,
+) -> &mut PageSlot {
+    let slot = pages.entry((node, page)).or_insert_with(|| PageSlot {
+        life: PageLifecycle {
+            first_cycle: cycle,
+            ..PageLifecycle::default()
+        },
+        state: PageState::default(),
+    });
+    slot.life.last_cycle = slot.life.last_cycle.max(cycle);
+    slot
+}
+
+/// Fold `events` into a [`Summary`].  `nodes` sizes the per-node
+/// trajectory table; events from nodes `>= nodes` grow it as needed.
+///
+/// This is the offline form (imported or recorded traces) of the
+/// [`SummaryFold`] the observed run paths feed online.
+///
+/// # Panics
+///
+/// On an illegal page-lifecycle sequence — an `Evicted` before any
+/// frame-granting map, a second frame granted without an eviction in
+/// between, a refault of a never-mapped page.  A full event stream from
+/// one run must be legal; use [`summarize_lossy`] for truncated traces
+/// (ring buffers, partial JSONL files) where a cut-off prefix makes
+/// such sequences expected.
+pub fn summarize(events: &[TimedEvent], nodes: usize) -> Summary {
+    fold(events, nodes).finish()
+}
+
+/// Like [`summarize`], but collects lifecycle violations instead of
+/// panicking — for traces with a truncated prefix, where the stream may
+/// legitimately open mid-lifecycle.
+pub fn summarize_lossy(events: &[TimedEvent], nodes: usize) -> (Summary, Vec<LifecycleViolation>) {
+    fold(events, nodes).finish_lossy()
+}
+
+fn fold(events: &[TimedEvent], nodes: usize) -> SummaryFold {
+    let mut f = SummaryFold::new(nodes);
+    for te in events {
+        f.step(te);
+    }
+    f
 }
 
 #[cfg(test)]
