@@ -5,7 +5,8 @@
 //! * `baseline`       — plain `simulate` (no sink type parameter in play);
 //! * `noop_sink`      — `simulate_with_sink(.., NoopSink)`: emission
 //!   sites compiled away; must be within noise of baseline (<2%);
-//! * `vec_sink`       — full recording, the real cost of tracing;
+//! * `log_sink`       — full recording into an `EventLog`, the real cost
+//!   of tracing;
 //! * `stream_off`     — the cell-sweep streaming entry point
 //!   (`run_cells_streamed`) with streaming disabled: must also stay
 //!   within the 2% budget, so wiring telemetry through the sweep path
@@ -13,7 +14,8 @@
 //! * `observed`       — `simulate_measured_streamed`, the path behind
 //!   `bench report`, `inspect trace` and `bench watch`: recording, the
 //!   online lifecycle summary, the metrics registry and snapshots.  Its
-//!   cost over baseline is printed per event, advisory only (no budget).
+//!   cost over baseline is printed per event, and its recorded log size
+//!   in bytes per event, advisory only (no budget).
 //!
 //! The variants are sampled *interleaved* (A, B, C, A, B, C, ...) so that
 //! clock-frequency drift over the bench's lifetime biases all of them
@@ -26,7 +28,7 @@
 use ascoma::experiments::{run_cells_streamed, StreamCell};
 use ascoma::machine::{simulate, simulate_measured_streamed, simulate_with_sink};
 use ascoma::{Arch, SimConfig};
-use ascoma_obs::{NoopSink, VecSink};
+use ascoma_obs::{EventLog, NoopSink};
 use ascoma_workloads::{App, SizeClass};
 use std::hint::black_box;
 use std::time::Instant;
@@ -66,12 +68,12 @@ fn main() {
             NoopSink,
         ));
     };
-    let mut run_vec = || {
+    let mut run_log = || {
         black_box(simulate_with_sink(
             black_box(&trace),
             Arch::AsComa,
             black_box(&cfg),
-            VecSink::new(),
+            EventLog::new(),
         ));
     };
     // Streaming disabled (`stream: None`): jobs=1 runs inline, so this
@@ -101,36 +103,37 @@ fn main() {
     // Warm-up: one batch of each.
     run_base();
     run_noop();
-    run_vec();
+    run_log();
     run_off();
     run_obs();
     let (_r, events, _reg) =
         simulate_measured_streamed(&trace, Arch::AsComa, &cfg, obs_window, obs_window, |_| {});
+    let log_bytes = events.bytes().len() as f64;
     let events = events.len() as f64;
 
     let mut base = Vec::with_capacity(SAMPLES);
     let mut noop = Vec::with_capacity(SAMPLES);
-    let mut vec = Vec::with_capacity(SAMPLES);
+    let mut log = Vec::with_capacity(SAMPLES);
     let mut off = Vec::with_capacity(SAMPLES);
     let mut obs = Vec::with_capacity(SAMPLES);
     for _ in 0..SAMPLES {
         base.push(batch_ns(&mut run_base));
         noop.push(batch_ns(&mut run_noop));
-        vec.push(batch_ns(&mut run_vec));
+        log.push(batch_ns(&mut run_log));
         off.push(batch_ns(&mut run_off));
         obs.push(batch_ns(&mut run_obs));
     }
 
-    let (base, noop, vec, off, obs) = (
+    let (base, noop, log, off, obs) = (
         median(base),
         median(noop),
-        median(vec),
+        median(log),
         median(off),
         median(obs),
     );
     println!("obs/baseline   {base:>12.0} ns/iter");
     println!("obs/noop_sink  {noop:>12.0} ns/iter");
-    println!("obs/vec_sink   {vec:>12.0} ns/iter");
+    println!("obs/log_sink   {log:>12.0} ns/iter");
     println!("obs/stream_off {off:>12.0} ns/iter");
     println!("obs/observed   {obs:>12.0} ns/iter");
 
@@ -138,8 +141,8 @@ fn main() {
     let off_overhead = off / base - 1.0;
     println!("noop-sink overhead vs baseline:  {:+.2}%", overhead * 100.0);
     println!(
-        "vec-sink overhead vs baseline:   {:+.2}%",
-        (vec / base - 1.0) * 100.0
+        "log-sink overhead vs baseline:   {:+.2}%",
+        (log / base - 1.0) * 100.0
     );
     println!(
         "stream-off overhead vs baseline: {:+.2}%",
@@ -148,6 +151,10 @@ fn main() {
     println!(
         "observed over baseline:          {:+.1} ns/event ({events:.0} events, advisory)",
         (obs - base) / events
+    );
+    println!(
+        "observed recorded log:           {:.2} bytes/event (advisory)",
+        log_bytes / events
     );
     if overhead > 0.02 {
         println!("WARNING: no-op sink overhead exceeds the 2% budget");

@@ -21,11 +21,13 @@
 use ascoma::machine::simulate_traced;
 use ascoma::{Arch, SimConfig};
 use ascoma_bench::Options;
-use ascoma_obs::export::{chrome_trace, jsonl_string};
-use ascoma_obs::summarize_lossy;
+use ascoma_obs::export::{chrome_trace, jsonl};
+use ascoma_obs::{summarize_lossy, EventLog};
 use ascoma_workloads::analyze::profile;
 use ascoma_workloads::stats::{render, trace_stats};
 use ascoma_workloads::{App, SizeClass};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -191,20 +193,31 @@ fn trace_cmd(args: &[String]) {
         return;
     }
 
-    let doc = if o.jsonl {
-        jsonl_string(&events)
-    } else {
-        chrome_trace(&events, trace.nodes)
+    // JSONL streams line by line; the Chrome document is one JSON
+    // object, rendered whole.
+    let render = |w: &mut dyn Write| -> io::Result<()> {
+        if o.jsonl {
+            jsonl(&events, w)?;
+        } else {
+            w.write_all(chrome_trace(&events, trace.nodes).as_bytes())?;
+        }
+        w.flush()
     };
     match &o.out {
         Some(path) => {
-            std::fs::write(path, &doc).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+            let bytes = File::create(path)
+                .and_then(|f| {
+                    let mut w = BufWriter::new(f);
+                    render(&mut w)?;
+                    w.get_ref().metadata()
+                })
+                .map(|m| m.len())
+                .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
             eprintln!(
-                "{}: {} events, {} cycles -> {path} ({} bytes{})",
+                "{}: {} events, {} cycles -> {path} ({bytes} bytes{})",
                 trace.name,
                 events.len(),
                 result.cycles,
-                doc.len(),
                 if o.jsonl {
                     ", JSONL"
                 } else {
@@ -212,20 +225,15 @@ fn trace_cmd(args: &[String]) {
                 }
             );
         }
-        None => print!("{doc}"),
+        None => render(&mut BufWriter::new(io::stdout().lock()))
+            .unwrap_or_else(|e| die(&format!("write stdout: {e}"))),
     }
 }
 
 /// Per-page relocation table in the spirit of Table 6: for every
 /// `(node, page)` pair that the trace touched, how many times it was
 /// mapped, upgraded CC-NUMA -> S-COMA, declined, and evicted.
-fn print_summary(
-    name: &str,
-    arch: Arch,
-    pressure: f64,
-    events: &[ascoma_obs::TimedEvent],
-    nodes: usize,
-) {
+fn print_summary(name: &str, arch: Arch, pressure: f64, events: &EventLog, nodes: usize) {
     // Lossy fold: an inspected stream may be truncated (ring buffer,
     // partial JSONL), so lifecycle breaks are warnings here, not panics.
     let (s, lifecycle_violations) = summarize_lossy(events, nodes);

@@ -26,8 +26,8 @@ use ascoma_mem::cache::{DirectMappedCache, Lookup};
 use ascoma_mem::timing::LocalMemory;
 use ascoma_net::{Network, Topology};
 use ascoma_obs::{
-    BackoffKind, Controller, Event, EvictCause, MapMode, MetricsRegistry, MissLoc, NoopSink, Sink,
-    Snapshot, StreamSink, SummaryFold, ThresholdStep, TimedEvent, VecSink, WindowSample,
+    BackoffKind, Controller, Event, EventLog, EvictCause, MapMode, MetricsRegistry, MissLoc,
+    NoopSink, Sink, Snapshot, StreamSink, SummaryFold, ThresholdStep, WindowSample,
 };
 use ascoma_proto::{Directory, FetchClass, ProtoStats};
 use ascoma_sim::addr::{VAddr, VPage};
@@ -1766,7 +1766,8 @@ pub fn simulate_with_sink<S: Sink>(
 }
 
 /// Run `trace` recording the full event stream; returns the result (with
-/// its [`RunResult::obs`] digest filled in) and the recorded events.
+/// its [`RunResult::obs`] digest filled in) and the recorded events as a
+/// compact [`EventLog`] (iterate it to decode).
 ///
 /// Enable periodic time-series samples via
 /// [`SimConfig::obs_sample_period`]; transition events are always
@@ -1784,18 +1785,18 @@ pub fn simulate_with_sink<S: Sink>(
 /// assert!(!events.is_empty());
 /// assert!(r.obs.is_some());
 /// ```
-pub fn simulate_traced(trace: &Trace, arch: Arch, cfg: &SimConfig) -> (RunResult, Vec<TimedEvent>) {
-    let (mut result, (rec, summary)) =
+pub fn simulate_traced(trace: &Trace, arch: Arch, cfg: &SimConfig) -> (RunResult, EventLog) {
+    let (mut result, (log, summary)) =
         simulate_with_sink(trace, arch, cfg, observed_sink(trace.nodes));
     result.obs = Some(summary.finish());
-    (result, rec.events)
+    (result, log)
 }
 
 /// The recording sink behind every observed entry point: events are
 /// recorded and folded into the lifecycle summary as they are emitted,
 /// so no entry point re-reads the recorded stream.
-fn observed_sink(nodes: usize) -> (VecSink, SummaryFold) {
-    (VecSink::new(), SummaryFold::new(nodes))
+fn observed_sink(nodes: usize) -> (EventLog, SummaryFold) {
+    (EventLog::new(), SummaryFold::new(nodes))
 }
 
 /// Run `trace` with full tracing *and* metrics: like [`simulate_traced`],
@@ -1827,7 +1828,7 @@ pub fn simulate_measured(
     arch: Arch,
     cfg: &SimConfig,
     window: Cycles,
-) -> (RunResult, Vec<TimedEvent>, MetricsRegistry) {
+) -> (RunResult, EventLog, MetricsRegistry) {
     simulate_measured_streamed(trace, arch, cfg, window, 0, |_| {})
 }
 
@@ -1872,7 +1873,7 @@ pub fn simulate_measured_streamed<F: FnMut(Snapshot)>(
     window: Cycles,
     cadence: Cycles,
     on_snap: F,
-) -> (RunResult, Vec<TimedEvent>, MetricsRegistry) {
+) -> (RunResult, EventLog, MetricsRegistry) {
     let sink = StreamSink::new(
         observed_sink(trace.nodes),
         trace.nodes,
@@ -1882,10 +1883,10 @@ pub fn simulate_measured_streamed<F: FnMut(Snapshot)>(
     );
     let (mut result, mut sink) = simulate_with_sink(trace, arch, cfg, sink);
     sink.snapshot_now(result.cycles);
-    let ((rec, summary), registry) = sink.into_parts();
+    let ((log, summary), registry) = sink.into_parts();
     result.obs = Some(summary.finish());
     result.metrics = Some(registry.digest());
-    (result, rec.events, registry)
+    (result, log, registry)
 }
 
 #[cfg(test)]
@@ -2074,7 +2075,7 @@ mod tests {
     #[test]
     fn controller_runs_identically_under_any_sink() {
         // The controller is config-gated, not sink-gated: a NoopSink run
-        // and a VecSink run of the same controller config must produce
+        // and a recording run of the same controller config must produce
         // identical results (only the *events* differ).
         let t = tiny_em3d();
         let mut cfg = SimConfig::at_pressure(0.9);

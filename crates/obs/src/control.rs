@@ -138,19 +138,20 @@ impl Cause {
         }
     }
 
+    /// All causes; `cause as usize` is the cause's index here.
+    pub const ALL: [Cause; 7] = [
+        Cause::RefetchHigh,
+        Cause::RefetchLow,
+        Cause::FreeLow,
+        Cause::BacklogHigh,
+        Cause::ReclaimSlow,
+        Cause::Recovered,
+        Cause::Drift,
+    ];
+
     /// Parse a [`Cause::tag`] back to the cause.
     pub fn parse(tag: &str) -> Option<Cause> {
-        [
-            Cause::RefetchHigh,
-            Cause::RefetchLow,
-            Cause::FreeLow,
-            Cause::BacklogHigh,
-            Cause::ReclaimSlow,
-            Cause::Recovered,
-            Cause::Drift,
-        ]
-        .into_iter()
-        .find(|c| c.tag() == tag)
+        Cause::ALL.into_iter().find(|c| c.tag() == tag)
     }
 }
 

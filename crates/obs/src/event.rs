@@ -46,6 +46,15 @@ impl MapMode {
             MapMode::Replica => "replica",
         }
     }
+
+    /// All modes; `mode as usize` is the mode's index here.
+    pub const ALL: [MapMode; 5] = [
+        MapMode::Home,
+        MapMode::Numa,
+        MapMode::Scoma,
+        MapMode::ScomaRefault,
+        MapMode::Replica,
+    ];
 }
 
 /// Why an S-COMA page lost its frame.
@@ -68,6 +77,13 @@ impl EvictCause {
             EvictCause::ReplicaCollapse => "replica_collapse",
         }
     }
+
+    /// All causes; `cause as usize` is the cause's index here.
+    pub const ALL: [EvictCause; 3] = [
+        EvictCause::Daemon,
+        EvictCause::Victim,
+        EvictCause::ReplicaCollapse,
+    ];
 }
 
 /// Direction of a refetch-threshold adjustment.
@@ -791,6 +807,19 @@ mod tests {
     fn miss_loc_discriminant_is_its_all_index() {
         for (i, loc) in MissLoc::ALL.iter().enumerate() {
             assert_eq!(*loc as usize, i);
+        }
+    }
+
+    #[test]
+    fn payload_enum_discriminants_are_their_all_index() {
+        for (i, mode) in MapMode::ALL.iter().enumerate() {
+            assert_eq!(*mode as usize, i);
+        }
+        for (i, cause) in EvictCause::ALL.iter().enumerate() {
+            assert_eq!(*cause as usize, i);
+        }
+        for (i, cause) in Cause::ALL.iter().enumerate() {
+            assert_eq!(*cause as usize, i);
         }
     }
 

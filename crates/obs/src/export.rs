@@ -16,29 +16,39 @@
 //! directly in cycles.
 
 use crate::event::{Event, TimedEvent};
+use std::borrow::Borrow;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
-/// Write events as JSON Lines (one object per line) to `w`.
-pub fn jsonl<W: Write>(events: &[TimedEvent], w: &mut W) -> io::Result<()> {
+/// Write events as JSON Lines (one object per line) to `w`, one line at
+/// a time — wrap files in a `BufWriter`.  Takes a recorded
+/// [`crate::EventLog`] or imported events alike.
+pub fn jsonl<I, W>(events: I, w: &mut W) -> io::Result<()>
+where
+    I: IntoIterator,
+    I::Item: Borrow<TimedEvent>,
+    W: Write + ?Sized,
+{
     let mut line = String::with_capacity(128);
     for te in events {
         line.clear();
-        te.write_json(&mut line);
+        te.borrow().write_json(&mut line);
         line.push('\n');
         w.write_all(line.as_bytes())?;
     }
     Ok(())
 }
 
-/// Render events as a JSONL string.
-pub fn jsonl_string(events: &[TimedEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96);
-    for te in events {
-        te.write_json(&mut out);
-        out.push('\n');
-    }
-    out
+/// Render events as a JSONL string ([`jsonl`] into memory).
+pub fn jsonl_string<I>(events: I) -> String
+where
+    I: IntoIterator,
+    I::Item: Borrow<TimedEvent>,
+{
+    let mut out = Vec::new();
+    // Writing into a `Vec` cannot fail, and every line is ASCII.
+    let _ = jsonl(events, &mut out);
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 fn push_meta(out: &mut String, name: &str, pid: u32, tid: u32, arg_key: &str, arg_val: &str) {
@@ -68,8 +78,13 @@ fn push_counter(out: &mut String, name: &str, ts: u64, tid: u32, series: &str) {
 /// (`{"traceEvents":[...]}`), loadable in Perfetto or `chrome://tracing`.
 ///
 /// `nodes` sizes the thread-name metadata; pass the machine's node count.
-pub fn chrome_trace(events: &[TimedEvent], nodes: usize) -> String {
-    let mut out = String::with_capacity(events.len() * 160 + 1024);
+pub fn chrome_trace<I>(events: I, nodes: usize) -> String
+where
+    I: IntoIterator,
+    I::Item: Borrow<TimedEvent>,
+{
+    let events = events.into_iter();
+    let mut out = String::with_capacity(events.size_hint().0 * 160 + 1024);
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
     let mut sep = |out: &mut String| {
@@ -89,6 +104,7 @@ pub fn chrome_trace(events: &[TimedEvent], nodes: usize) -> String {
     }
 
     for te in events {
+        let te = te.borrow();
         let ts = te.cycle;
         let tid = te.event.node().0 as u32;
         sep(&mut out);
@@ -383,7 +399,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_json_with_expected_phases() {
-        let doc = chrome_trace(&sample_events(), 2);
+        let doc = chrome_trace(sample_events(), 2);
         validate_json(&doc).unwrap();
         assert!(doc.starts_with("{\"traceEvents\":["));
         assert!(doc.contains("\"ph\":\"M\""));
@@ -395,7 +411,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_empty_is_still_valid() {
-        let doc = chrome_trace(&[], 1);
+        let doc = chrome_trace(Vec::<TimedEvent>::new(), 1);
         validate_json(&doc).unwrap();
     }
 

@@ -14,7 +14,8 @@
 //!   `Sink::ENABLED == false`, so every emission site compiles away and an
 //!   uninstrumented run is bit-identical to the pre-instrumentation
 //!   simulator;
-//! * recording sinks ([`VecSink`], [`RingSink`], [`JsonlSink`]);
+//! * recording sinks: the compact, lossless [`EventLog`] (about 7 bytes
+//!   per event, decoded on iteration), [`RingSink`], [`JsonlSink`];
 //! * exporters to JSONL and Chrome `trace_event` JSON (loadable in
 //!   Perfetto / `chrome://tracing`) in [`export`];
 //! * a [`summary`] API folding a trace back into per-page lifecycle
@@ -44,6 +45,7 @@ pub mod export;
 pub mod hash;
 pub mod import;
 pub mod json;
+pub mod log;
 pub mod metrics;
 pub mod sink;
 pub mod snapshot;
@@ -55,8 +57,9 @@ pub use control::{
 };
 pub use event::{BackoffKind, Event, EvictCause, MapMode, MissLoc, TimedEvent, KINDS, KIND_NAMES};
 pub use import::{parse_event_line, parse_jsonl};
+pub use log::EventLog;
 pub use metrics::{HistStat, MetricsDigest, MetricsRegistry, MetricsSink};
-pub use sink::{JsonlSink, NoopSink, RingSink, Sink, VecSink};
+pub use sink::{JsonlSink, NoopSink, RingSink, Sink};
 pub use snapshot::{channel_sink, parse_stream_line, NodeSnap, Snapshot, StreamEvent, StreamSink};
 pub use summary::{
     summarize, summarize_lossy, DaemonEpochRecord, LifecycleViolation, PageLifecycle, Summary,

@@ -15,6 +15,7 @@ use crate::hash::FxHashMap;
 use crate::sink::Sink;
 use ascoma_sim::hist::{HistDigest, Histogram};
 use ascoma_sim::Cycles;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Default time-series window, in cycles.
@@ -252,10 +253,14 @@ impl MetricsRegistry {
     /// Build a registry by folding a recorded event stream — the offline
     /// path for imported traces; live runs fold through [`MetricsSink`]
     /// or [`crate::StreamSink`] instead.
-    pub fn from_events(events: &[TimedEvent], nodes: usize, window: Cycles) -> Self {
+    pub fn from_events<I>(events: I, nodes: usize, window: Cycles) -> Self
+    where
+        I: IntoIterator,
+        I::Item: Borrow<TimedEvent>,
+    {
         let mut reg = Self::new(nodes, window);
         for te in events {
-            reg.fold(te);
+            reg.fold(te.borrow());
         }
         reg
     }
@@ -485,7 +490,7 @@ mod tests {
 
     #[test]
     fn digest_merges_across_nodes() {
-        let d = MetricsRegistry::from_events(&stream(), 2, DEFAULT_WINDOW).digest();
+        let d = MetricsRegistry::from_events(stream(), 2, DEFAULT_WINDOW).digest();
         let r3 = d.hist("miss_service/remote3").unwrap();
         assert_eq!(r3.count, 2);
         assert_eq!(r3.max, 510);
@@ -503,7 +508,7 @@ mod tests {
 
     #[test]
     fn hot_pages_rank_deterministically() {
-        let reg = MetricsRegistry::from_events(&stream(), 2, DEFAULT_WINDOW);
+        let reg = MetricsRegistry::from_events(stream(), 2, DEFAULT_WINDOW);
         let hot = reg.hot_pages(10);
         // Node 1 refetched page 7 twice, node 0 once; ties impossible
         // here but ordering is (count desc, key asc).
@@ -547,7 +552,7 @@ mod tests {
 
     #[test]
     fn counters_list_seen_kinds_sorted_by_name() {
-        let reg = MetricsRegistry::from_events(&stream(), 2, DEFAULT_WINDOW);
+        let reg = MetricsRegistry::from_events(stream(), 2, DEFAULT_WINDOW);
         let got: Vec<(&str, u64)> = reg.counters().collect();
         assert_eq!(
             got,
@@ -565,7 +570,7 @@ mod tests {
 
     #[test]
     fn windowed_series_bucket_by_cycle() {
-        let reg = MetricsRegistry::from_events(&stream(), 2, DEFAULT_WINDOW);
+        let reg = MetricsRegistry::from_events(stream(), 2, DEFAULT_WINDOW);
         let n0 = &reg.nodes()[0];
         assert_eq!(
             n0.free_pool,
@@ -590,14 +595,14 @@ mod tests {
             }]
         );
         // Window 0 disables series but keeps histograms.
-        let flat = MetricsRegistry::from_events(&stream(), 2, 0);
+        let flat = MetricsRegistry::from_events(stream(), 2, 0);
         assert!(flat.nodes()[0].free_pool.is_empty());
         assert_eq!(flat.digest().hists, reg.digest().hists);
     }
 
     #[test]
     fn empty_run_has_empty_series_and_zero_digest() {
-        let reg = MetricsRegistry::from_events(&[], 2, DEFAULT_WINDOW);
+        let reg = MetricsRegistry::from_events(Vec::<TimedEvent>::new(), 2, DEFAULT_WINDOW);
         assert_eq!(reg.total_events(), 0);
         for nm in reg.nodes() {
             assert!(nm.free_pool.is_empty());
@@ -751,13 +756,13 @@ mod tests {
         assert_eq!(cause.1, 2, "phase change + tune share the cause");
         // Controller-off digests keep the (zero) dwell hist so shape is
         // stable.
-        let off = MetricsRegistry::from_events(&stream(), 2, DEFAULT_WINDOW).digest();
+        let off = MetricsRegistry::from_events(stream(), 2, DEFAULT_WINDOW).digest();
         assert_eq!(off.hist("controller_dwell").unwrap().count, 0);
     }
 
     #[test]
     fn digest_json_is_valid_and_stable() {
-        let d = MetricsRegistry::from_events(&stream(), 2, DEFAULT_WINDOW).digest();
+        let d = MetricsRegistry::from_events(stream(), 2, DEFAULT_WINDOW).digest();
         let j = d.to_json();
         crate::export::validate_json(&j).unwrap();
         let v = crate::json::parse(&j).unwrap();

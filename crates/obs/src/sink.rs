@@ -35,7 +35,7 @@ impl Sink for NoopSink {
 
 /// Two sinks side by side: every event goes to both, first `A` then `B`.
 /// The observed run paths compose recording with online folds this way,
-/// e.g. `(VecSink, SummaryFold)`, so each event is observed once.
+/// e.g. `(EventLog, SummaryFold)`, so each event is observed once.
 impl<A: Sink, B: Sink> Sink for (A, B) {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
 
@@ -47,27 +47,6 @@ impl<A: Sink, B: Sink> Sink for (A, B) {
         if B::ENABLED {
             self.1.emit(cycle, event);
         }
-    }
-}
-
-/// Records every event in order (the exporter/summary work off this).
-#[derive(Debug, Clone, Default)]
-pub struct VecSink {
-    /// Events in emission order.
-    pub events: Vec<TimedEvent>,
-}
-
-impl VecSink {
-    /// An empty recording sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Sink for VecSink {
-    #[inline]
-    fn emit(&mut self, cycle: Cycles, event: Event) {
-        self.events.push(TimedEvent { cycle, event });
     }
 }
 
@@ -180,6 +159,7 @@ impl<W: Write> Sink for JsonlSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::EventLog;
     use ascoma_sim::addr::VPage;
     use ascoma_sim::NodeId;
 
@@ -194,30 +174,31 @@ mod tests {
     #[test]
     fn noop_is_disabled() {
         const { assert!(!NoopSink::ENABLED) };
-        const { assert!(VecSink::ENABLED) };
+        const { assert!(EventLog::ENABLED) };
         let mut s = NoopSink;
         s.emit(0, ev(0));
     }
 
     #[test]
-    fn vec_sink_records_in_order() {
-        let mut s = VecSink::new();
+    fn event_log_records_in_order() {
+        let mut s = EventLog::new();
         for i in 0..5 {
             s.emit(i, ev(i));
         }
-        assert_eq!(s.events.len(), 5);
-        assert!(s.events.windows(2).all(|w| w[0].cycle < w[1].cycle));
+        assert_eq!(s.len(), 5);
+        let cycles: Vec<u64> = s.iter().map(|e| e.cycle).collect();
+        assert_eq!(cycles, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn pair_sink_feeds_both_halves_in_order() {
         const { assert!(!<(NoopSink, NoopSink)>::ENABLED) };
-        const { assert!(<(NoopSink, VecSink)>::ENABLED) };
-        let mut s = (VecSink::new(), RingSink::new(2));
+        const { assert!(<(NoopSink, EventLog)>::ENABLED) };
+        let mut s = (EventLog::new(), RingSink::new(2));
         for i in 0..3 {
             s.emit(i, ev(i));
         }
-        assert_eq!(s.0.events.len(), 3);
+        assert_eq!(s.0.len(), 3);
         let tail: Vec<u64> = s.1.into_events().iter().map(|e| e.cycle).collect();
         assert_eq!(tail, vec![1, 2]);
     }

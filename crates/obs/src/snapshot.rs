@@ -563,12 +563,12 @@ mod tests {
 
     #[test]
     fn stream_sink_forwards_to_inner_and_registry() {
-        let mut sink = StreamSink::new(crate::sink::VecSink::new(), 1, 0, 0, |_s: Snapshot| {});
+        let mut sink = StreamSink::new(crate::log::EventLog::new(), 1, 0, 0, |_s: Snapshot| {});
         sink.emit(5, miss(0, 40, false));
         sink.emit(9, pool(0, 3, 1));
         assert_eq!(sink.registry().total_events(), 2);
         let (inner, reg) = sink.into_parts();
-        assert_eq!(inner.events.len(), 2);
+        assert_eq!(inner.len(), 2);
         assert_eq!(reg.nodes()[0].last_free, 3);
     }
 

@@ -11,6 +11,7 @@ use crate::event::{BackoffKind, Event, MapMode, TimedEvent};
 use crate::hash::FxHashMap;
 use crate::sink::Sink;
 use ascoma_sim::Cycles;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -386,21 +387,33 @@ fn touch(
 /// one run must be legal; use [`summarize_lossy`] for truncated traces
 /// (ring buffers, partial JSONL files) where a cut-off prefix makes
 /// such sequences expected.
-pub fn summarize(events: &[TimedEvent], nodes: usize) -> Summary {
+pub fn summarize<I>(events: I, nodes: usize) -> Summary
+where
+    I: IntoIterator,
+    I::Item: Borrow<TimedEvent>,
+{
     fold(events, nodes).finish()
 }
 
 /// Like [`summarize`], but collects lifecycle violations instead of
 /// panicking — for traces with a truncated prefix, where the stream may
 /// legitimately open mid-lifecycle.
-pub fn summarize_lossy(events: &[TimedEvent], nodes: usize) -> (Summary, Vec<LifecycleViolation>) {
+pub fn summarize_lossy<I>(events: I, nodes: usize) -> (Summary, Vec<LifecycleViolation>)
+where
+    I: IntoIterator,
+    I::Item: Borrow<TimedEvent>,
+{
     fold(events, nodes).finish_lossy()
 }
 
-fn fold(events: &[TimedEvent], nodes: usize) -> SummaryFold {
+fn fold<I>(events: I, nodes: usize) -> SummaryFold
+where
+    I: IntoIterator,
+    I::Item: Borrow<TimedEvent>,
+{
     let mut f = SummaryFold::new(nodes);
     for te in events {
-        f.step(te);
+        f.step(te.borrow());
     }
     f
 }
@@ -483,7 +496,7 @@ mod tests {
 
     #[test]
     fn folds_lifecycles() {
-        let s = summarize(&trace(), 2);
+        let s = summarize(trace(), 2);
         assert_eq!(s.events, 7);
         assert_eq!(s.transitions, 6);
         let lc = s.pages[&(0, 7)];
@@ -497,7 +510,7 @@ mod tests {
 
     #[test]
     fn folds_thresholds_and_epochs() {
-        let s = summarize(&trace(), 2);
+        let s = summarize(trace(), 2);
         assert_eq!(s.raises, 1);
         assert_eq!(s.drops, 0);
         assert_eq!(
@@ -514,7 +527,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_empty_summary() {
-        let s = summarize(&[], 4);
+        let s = summarize(Vec::<TimedEvent>::new(), 4);
         assert_eq!(s.events, 0);
         assert_eq!(s.relocated_pairs(), 0);
         assert_eq!(s.thresholds.len(), 4);
@@ -535,7 +548,7 @@ mod tests {
                 cause: EvictCause::Daemon,
             },
         )];
-        let _ = summarize(&evs, 1);
+        let _ = summarize(evs, 1);
     }
 
     #[test]
@@ -558,7 +571,7 @@ mod tests {
             at(2, evict),
             at(3, evict),
         ];
-        let _ = summarize(&evs, 1);
+        let _ = summarize(evs, 1);
     }
 
     #[test]
@@ -582,7 +595,7 @@ mod tests {
                 },
             ),
         ];
-        let _ = summarize(&evs, 1);
+        let _ = summarize(evs, 1);
     }
 
     #[test]
@@ -613,7 +626,7 @@ mod tests {
             ),
             at(4, evict),
         ];
-        let s = summarize(&evs, 1);
+        let s = summarize(evs, 1);
         assert_eq!(s.maps, 2);
         assert_eq!(s.evictions, 2);
     }
@@ -629,7 +642,7 @@ mod tests {
                 cause: EvictCause::Victim,
             },
         )];
-        let (s, violations) = summarize_lossy(&evs, 4);
+        let (s, violations) = summarize_lossy(evs, 4);
         assert_eq!(s.evictions, 1);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].node, 2);
@@ -649,7 +662,7 @@ mod tests {
                 relocation_disabled: false,
             },
         }];
-        let s = summarize(&evs, 2);
+        let s = summarize(evs, 2);
         assert_eq!(s.thresholds.len(), 6);
         assert_eq!(s.drops, 1);
     }

@@ -6,8 +6,8 @@
 use ascoma::machine::{simulate_measured_streamed, simulate_traced};
 use ascoma::{Arch, SimConfig};
 use ascoma_obs::{
-    summarize, summarize_lossy, Event, EvictCause, MapMode, MetricsRegistry, Sink, StreamSink,
-    SummaryFold, VecSink,
+    summarize, summarize_lossy, Event, EventLog, EvictCause, MapMode, MetricsRegistry, Sink,
+    StreamSink, SummaryFold,
 };
 use ascoma_sim::addr::VPage;
 use ascoma_sim::NodeId;
@@ -53,7 +53,7 @@ fn online_folds_equal_offline_folds_for_every_arch() {
 fn online_summary_panics_on_an_illegal_lifecycle() {
     // The composition the observed entry points run: recording plus the
     // summary fold, inside the snapshot-streaming registry sink.
-    let mut sink = StreamSink::new((VecSink::new(), SummaryFold::new(1)), 1, WINDOW, 0, |_| {});
+    let mut sink = StreamSink::new((EventLog::new(), SummaryFold::new(1)), 1, WINDOW, 0, |_| {});
     sink.emit(
         1,
         Event::PageMapped {
