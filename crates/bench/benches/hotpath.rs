@@ -3,9 +3,11 @@
 //! Times each layer of the per-access simulation path in isolation —
 //! scheduler pop/push (quiescent fast path and contended scan), TLB
 //! probe, L1 probe, page-table touch, directory fetch, and network send
-//! — in ns/op.  The full-run benches (`tables`, `perf_baseline`) answer
-//! "how fast is a cell"; this suite answers "which layer ate the
-//! cycles" when a cell regresses, without needing `perf` on the host.
+//! — plus the two halves of a remap flush (L1 page invalidation and
+//! directory page flush), in ns/op.  The full-run benches (`tables`,
+//! `perf_baseline`) answer "how fast is a cell"; this suite answers
+//! "which layer ate the cycles" when a cell regresses, without needing
+//! `perf` on the host.
 //!
 //! Plain timing harness (no criterion — the build is offline); run with
 //! `cargo bench -p ascoma-bench --bench hotpath`.  Numbers are
@@ -106,6 +108,21 @@ fn main() {
         }
     });
 
+    // L1 page flush: the remap flush of one 4 KB page from a full L1
+    // (128 tag checks).  The walk does not branch on hits, so the cost
+    // does not depend on how many of the page's lines are resident.
+    let page_bytes = geo.page_bytes();
+    for j in 0..(8 * 1024 / geo.line_bytes()) {
+        l1.fill(VAddr(j * geo.line_bytes()), j & 1 == 0);
+    }
+    let mut i = 0u64;
+    bench("l1_flush_page", &mut || {
+        for _ in 0..OPS {
+            black_box(l1.invalidate_range(VAddr(black_box(i & 63) * page_bytes), page_bytes));
+            i = i.wrapping_add(1);
+        }
+    });
+
     // Page-table touch: the referenced-bit store on every shared access.
     let mut pt = PageTable::new(64, geo.blocks_per_page());
     for p in 0..64u64 {
@@ -127,6 +144,19 @@ fn main() {
         for _ in 0..OPS {
             let block = geo.block_id(VPage(black_box(i & 63)), 0);
             black_box(dir.fetch(NodeId(0), block, false));
+            i = i.wrapping_add(1);
+        }
+    });
+
+    // Directory page flush: one node drops its copies of a page (the
+    // directory half of a remap flush, 32 entries).  After the first
+    // sweep no entry holds a copy, so this is the case a per-entry branch
+    // predicts perfectly; the branch-free fold costs the same either way.
+    let mut i = 0u64;
+    bench("dir_flush_page", &mut || {
+        for _ in 0..OPS {
+            let node = NodeId((black_box(i) & 7) as u16);
+            black_box(dir.flush_page(node, VPage(black_box(i >> 3) & 63)));
             i = i.wrapping_add(1);
         }
     });

@@ -50,11 +50,6 @@ impl Bus {
         self.res.queued_cycles()
     }
 
-    /// Cycles of service rendered so far.
-    pub fn busy_cycles(&self) -> Cycles {
-        self.res.busy_cycles()
-    }
-
     /// Reset to idle, clearing statistics.
     pub fn reset(&mut self) {
         self.res.reset();

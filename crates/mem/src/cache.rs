@@ -15,12 +15,40 @@
 
 use ascoma_sim::addr::VAddr;
 
-/// One resident cache line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Line {
-    /// Line-aligned address this slot currently holds.
-    addr: u64,
-    dirty: bool,
+/// Tag word of an empty slot.  Resident tags are line-aligned addresses
+/// with the dirty flag in bit 0, so this all-ones word cannot be one as
+/// long as the top line of the address space is never cached or
+/// invalidated (asserted in debug builds; shared-space addresses sit far
+/// below it).
+const EMPTY: u64 = u64::MAX;
+
+/// Dirty flag of a tag word (line addresses are at least 2-aligned).
+const DIRTY: u64 = 1;
+
+/// The victim a resident (non-empty) tag word describes.
+#[inline]
+fn victim(tag: u64) -> Victim {
+    Victim {
+        addr: VAddr(tag & !DIRTY),
+        dirty: tag & DIRTY != 0,
+    }
+}
+
+/// Clear every tag in `tags` whose line lies in `[start, start + len)`,
+/// without branching on the outcome.  Returns `(lines, dirty_lines)`.
+///
+/// An empty slot reads as line `EMPTY & !DIRTY`, which lies above every
+/// range the caller passes, so it never matches.
+#[inline]
+fn clear_lines(tags: &mut [u64], start: u64, len: u64) -> (u32, u32) {
+    let (n, d) = tags.iter_mut().fold((0u64, 0u64), |(n, d), t| {
+        let hit = ((*t & !DIRTY).wrapping_sub(start) < len) as u64;
+        let dirty = hit & *t;
+        // OR-ing an all-ones mask writes EMPTY; a zero mask keeps the tag.
+        *t |= hit.wrapping_neg();
+        (n + hit, d + dirty)
+    });
+    (n as u32, d as u32)
 }
 
 /// Result of a lookup for a line.
@@ -51,9 +79,10 @@ pub struct Victim {
 /// cached remote data to be purged frequently").
 #[derive(Debug, Clone)]
 pub struct DirectMappedCache {
-    /// `nsets x ways` slots, way-major within a set.
-    sets: Vec<Option<Line>>,
-    /// LRU stamps parallel to `sets`.
+    /// `nsets x ways` tag words, way-major within a set: the line address
+    /// with [`DIRTY`] in bit 0, or [`EMPTY`].
+    tags: Vec<u64>,
+    /// LRU stamps parallel to `tags` (read only when `ways > 1`).
     stamps: Vec<u64>,
     ways: usize,
     tick: u64,
@@ -75,12 +104,13 @@ impl DirectMappedCache {
     pub fn new_assoc(size_bytes: u64, line_bytes: u64, ways: usize) -> Self {
         assert!(size_bytes.is_power_of_two());
         assert!(line_bytes.is_power_of_two());
+        assert!(line_bytes >= 2, "bit 0 of a tag word holds the dirty flag");
         assert!(ways.is_power_of_two());
         assert!(line_bytes * ways as u64 <= size_bytes);
         let slots = (size_bytes / line_bytes) as usize;
         let nsets = slots / ways;
         Self {
-            sets: vec![None; slots],
+            tags: vec![EMPTY; slots],
             stamps: vec![0; slots],
             ways,
             tick: 0,
@@ -102,15 +132,16 @@ impl DirectMappedCache {
         Self::new(512, 128)
     }
 
+    /// First slot of the set line address `addr` maps to.
     #[inline]
     fn set_of(&self, addr: u64) -> usize {
         (((addr >> self.line_shift) & self.set_mask) as usize) * self.ways
     }
 
-    /// Way index of `a` within its set, if resident.
+    /// Slot index of line `a` within the set at `base`, if resident.
     #[inline]
     fn find(&self, base: usize, a: u64) -> Option<usize> {
-        (base..base + self.ways).find(|&i| matches!(self.sets[i], Some(l) if l.addr == a))
+        (base..base + self.ways).find(|&i| self.tags[i] & !DIRTY == a)
     }
 
     /// The slot to fill in a set: an empty way, else the LRU way.
@@ -118,7 +149,7 @@ impl DirectMappedCache {
     fn victim_slot(&self, base: usize) -> usize {
         let mut lru = base;
         for i in base..base + self.ways {
-            if self.sets[i].is_none() {
+            if self.tags[i] == EMPTY {
                 return i;
             }
             if self.stamps[i] < self.stamps[lru] {
@@ -128,36 +159,11 @@ impl DirectMappedCache {
         lru
     }
 
-    /// Apply `f` to the resident line for `a`, returning its way index —
-    /// the mutable counterpart of [`Self::find`] (shaped as a visitor so
-    /// no `Option` unwrap is needed on the hit path).
-    #[inline]
-    fn touch_line(&mut self, base: usize, a: u64, f: impl FnOnce(&mut Line)) -> Option<usize> {
-        for i in base..base + self.ways {
-            if let Some(l) = &mut self.sets[i] {
-                if l.addr == a {
-                    f(l);
-                    return Some(i);
-                }
-            }
-        }
-        None
-    }
-
-    /// Remove and return the resident line for `a`, if any.
-    #[inline]
-    fn take_line(&mut self, base: usize, a: u64) -> Option<Line> {
-        for i in base..base + self.ways {
-            if matches!(self.sets[i], Some(l) if l.addr == a) {
-                return self.sets[i].take();
-            }
-        }
-        None
-    }
-
     #[inline]
     fn align(&self, addr: VAddr) -> u64 {
-        addr.0 & !(self.line_bytes - 1)
+        let a = addr.0 & !(self.line_bytes - 1);
+        debug_assert_ne!(a, EMPTY & !DIRTY, "top line is the empty-slot sentinel");
+        a
     }
 
     /// Line size in bytes.
@@ -167,7 +173,7 @@ impl DirectMappedCache {
 
     /// Number of line slots (sets x ways).
     pub fn num_sets(&self) -> usize {
-        self.sets.len()
+        self.tags.len()
     }
 
     /// Associativity.
@@ -189,7 +195,7 @@ impl DirectMappedCache {
     pub fn line_dirty(&self, addr: VAddr) -> Option<bool> {
         let a = self.align(addr);
         self.find(self.set_of(a), a)
-            .and_then(|i| self.sets[i].as_ref().map(|l| l.dirty))
+            .map(|i| self.tags[i] & DIRTY != 0)
     }
 
     /// Look up `addr`, recording hit/miss statistics, without modifying
@@ -197,43 +203,41 @@ impl DirectMappedCache {
     #[inline]
     pub fn access(&mut self, addr: VAddr, write: bool) -> Lookup {
         let a = self.align(addr);
-        let base = self.set_of(a);
-        if self.ways == 1 {
-            // Direct-mapped fast path: one candidate slot and no LRU
-            // bookkeeping (stamps are never consulted with a single way).
-            return match &mut self.sets[base] {
-                Some(l) if l.addr == a => {
-                    l.dirty |= write;
-                    self.hits += 1;
-                    Lookup::Hit
-                }
-                Some(l) => {
-                    self.misses += 1;
-                    Lookup::MissConflict(Victim {
-                        addr: VAddr(l.addr),
-                        dirty: l.dirty,
-                    })
-                }
-                None => {
-                    self.misses += 1;
-                    Lookup::MissEmpty
-                }
-            };
+        if self.ways != 1 {
+            return self.access_assoc(a, write);
         }
+        // Direct-mapped: one tag word decides (LRU stamps are moot).
+        let i = self.set_of(a);
+        let t = self.tags[i];
+        if t & !DIRTY == a {
+            self.tags[i] = t | write as u64;
+            self.hits += 1;
+            Lookup::Hit
+        } else {
+            self.misses += 1;
+            if t == EMPTY {
+                Lookup::MissEmpty
+            } else {
+                Lookup::MissConflict(victim(t))
+            }
+        }
+    }
+
+    /// [`Self::access`] for `ways > 1`: LRU sweep of the set.
+    #[inline(never)]
+    fn access_assoc(&mut self, a: u64, write: bool) -> Lookup {
+        let base = self.set_of(a);
         self.tick += 1;
-        if let Some(i) = self.touch_line(base, a, |l| l.dirty |= write) {
+        if let Some(i) = self.find(base, a) {
+            self.tags[i] |= write as u64;
             self.stamps[i] = self.tick;
             self.hits += 1;
             return Lookup::Hit;
         }
         self.misses += 1;
-        let slot = self.victim_slot(base);
-        match self.sets[slot] {
-            Some(l) => Lookup::MissConflict(Victim {
-                addr: VAddr(l.addr),
-                dirty: l.dirty,
-            }),
-            None => Lookup::MissEmpty,
+        match self.tags[self.victim_slot(base)] {
+            EMPTY => Lookup::MissEmpty,
+            t => Lookup::MissConflict(victim(t)),
         }
     }
 
@@ -242,52 +246,44 @@ impl DirectMappedCache {
     #[inline]
     pub fn fill(&mut self, addr: VAddr, write: bool) -> Option<Victim> {
         let a = self.align(addr);
-        let base = self.set_of(a);
-        if self.ways == 1 {
-            let slot = &mut self.sets[base];
-            return match slot {
-                Some(l) if l.addr == a => {
-                    l.dirty |= write;
-                    None
-                }
-                _ => {
-                    let victim = (*slot).map(|l| Victim {
-                        addr: VAddr(l.addr),
-                        dirty: l.dirty,
-                    });
-                    *slot = Some(Line {
-                        addr: a,
-                        dirty: write,
-                    });
-                    victim
-                }
-            };
+        if self.ways != 1 {
+            return self.fill_assoc(a, write);
         }
+        let i = self.set_of(a);
+        let t = self.tags[i];
+        if t & !DIRTY == a {
+            // Refill of a resident line keeps (or raises) dirtiness.
+            self.tags[i] = t | write as u64;
+            return None;
+        }
+        self.tags[i] = a | write as u64;
+        (t != EMPTY).then(|| victim(t))
+    }
+
+    /// [`Self::fill`] for `ways > 1`: refresh or replace the LRU way.
+    #[inline(never)]
+    fn fill_assoc(&mut self, a: u64, write: bool) -> Option<Victim> {
+        let base = self.set_of(a);
         self.tick += 1;
-        // Refill of a resident line keeps (or raises) dirtiness.
-        if let Some(i) = self.touch_line(base, a, |l| l.dirty |= write) {
+        if let Some(i) = self.find(base, a) {
+            self.tags[i] |= write as u64;
             self.stamps[i] = self.tick;
             return None;
         }
         let slot = self.victim_slot(base);
-        let victim = self.sets[slot].map(|l| Victim {
-            addr: VAddr(l.addr),
-            dirty: l.dirty,
-        });
-        self.sets[slot] = Some(Line {
-            addr: a,
-            dirty: write,
-        });
+        let old = self.tags[slot];
+        self.tags[slot] = a | write as u64;
         self.stamps[slot] = self.tick;
         self.debug_validate_set(base);
-        victim
+        (old != EMPTY).then(|| victim(old))
     }
 
     /// Mark a resident line dirty (e.g. write hit after an upgrade).
     pub fn mark_dirty(&mut self, addr: VAddr) {
         let a = self.align(addr);
-        let base = self.set_of(a);
-        self.touch_line(base, a, |l| l.dirty = true);
+        if let Some(i) = self.find(self.set_of(a), a) {
+            self.tags[i] |= DIRTY;
+        }
     }
 
     /// Invalidate every resident line within the aligned byte range
@@ -297,45 +293,41 @@ impl DirectMappedCache {
     /// Used for block-grained coherence invalidations (`span = 128`) and
     /// page-grained remap flushes (`span = 4096`).
     pub fn invalidate_range(&mut self, base: VAddr, span_bytes: u64) -> (u32, u32) {
-        let start = base.0 & !(self.line_bytes - 1);
-        let mut invalidated = 0;
-        let mut dirty = 0;
-        // Only lines whose address falls in the range can be resident, and
-        // each maps to exactly one set; walk the range line by line.  For a
-        // page-sized range this is span/line iterations (128 for the L1),
-        // bounded and cheap.
-        let mut a = start;
-        while a < base.0 + span_bytes {
-            let set = self.set_of(a);
-            if let Some(l) = self.take_line(set, a) {
-                invalidated += 1;
-                if l.dirty {
-                    dirty += 1;
-                }
-            }
-            a += self.line_bytes;
-        }
-        (invalidated, dirty)
+        let start = self.align(base);
+        let end = base.0 + span_bytes;
+        debug_assert!(
+            end <= EMPTY & !DIRTY,
+            "range reaches the empty-slot sentinel"
+        );
+        let len = end - start;
+        // A line in the range can only live in the set its address maps
+        // to, and consecutive lines map to consecutive sets: the range
+        // covers `min(lines, sets)` sets starting at `start`'s, wrapping
+        // at the end of the array.  A page is 128 tag checks in the L1
+        // (256 sets) and 4 in the RAC (4 sets).
+        let sets = len.div_ceil(self.line_bytes).min(self.set_mask + 1) as usize;
+        let first = self.set_of(start);
+        let slots = sets * self.ways;
+        let head_end = (first + slots).min(self.tags.len());
+        let wrapped = slots - (head_end - first);
+        let (n0, d0) = clear_lines(&mut self.tags[first..head_end], start, len);
+        let (n1, d1) = clear_lines(&mut self.tags[..wrapped], start, len);
+        (n0 + n1, d0 + d1)
     }
 
     /// Drop every line in the cache. Returns `(lines, dirty_lines)`.
     pub fn invalidate_all(&mut self) -> (u32, u32) {
-        let mut n = 0;
-        let mut d = 0;
-        for s in &mut self.sets {
-            if let Some(l) = s.take() {
-                n += 1;
-                if l.dirty {
-                    d += 1;
-                }
-            }
-        }
-        (n, d)
+        self.tags.iter_mut().fold((0, 0), |(n, d), t| {
+            let live = *t != EMPTY;
+            let dirty = live & (*t & DIRTY != 0);
+            *t = EMPTY;
+            (n + live as u32, d + dirty as u32)
+        })
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().filter(|s| s.is_some()).count()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 
     /// (hits, misses) recorded by [`Self::access`].
@@ -346,24 +338,22 @@ impl DirectMappedCache {
     /// Structural rules for one set (O(ways)).
     fn set_error(&self, base: usize) -> Option<String> {
         for i in base..base + self.ways {
-            let Some(l) = self.sets[i] else { continue };
-            if l.addr & (self.line_bytes - 1) != 0 {
-                return Some(format!("slot {i} holds unaligned address {:#x}", l.addr));
+            let t = self.tags[i];
+            if t == EMPTY {
+                continue;
             }
-            if self.set_of(l.addr) != base {
+            let a = t & !DIRTY;
+            if a & (self.line_bytes - 1) != 0 {
+                return Some(format!("slot {i} holds unaligned address {a:#x}"));
+            }
+            if self.set_of(a) != base {
                 return Some(format!(
-                    "slot {i} holds address {:#x} belonging to set base {}",
-                    l.addr,
-                    self.set_of(l.addr)
+                    "slot {i} holds address {a:#x} belonging to set base {}",
+                    self.set_of(a)
                 ));
             }
-            for j in base..i {
-                if matches!(self.sets[j], Some(o) if o.addr == l.addr) {
-                    return Some(format!(
-                        "address {:#x} resident in two ways ({j} and {i})",
-                        l.addr
-                    ));
-                }
+            if let Some(j) = (base..i).find(|&j| self.tags[j] & !DIRTY == a) {
+                return Some(format!("address {a:#x} resident in two ways ({j} and {i})"));
             }
         }
         None
@@ -373,7 +363,7 @@ impl DirectMappedCache {
     /// live in the set their address maps to, and no address occupies two
     /// ways.  For barrier-time and test probes.
     pub fn validate(&self) -> Result<(), String> {
-        let nsets = self.sets.len() / self.ways;
+        let nsets = self.tags.len() / self.ways;
         for s in 0..nsets {
             if let Some(e) = self.set_error(s * self.ways) {
                 return Err(e);

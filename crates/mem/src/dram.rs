@@ -37,11 +37,6 @@ impl Dram {
         self.access_cycles
     }
 
-    /// Total bank-busy cycles (for utilization reports).
-    pub fn busy_cycles(&self) -> Cycles {
-        self.banks.busy_cycles()
-    }
-
     /// Total cycles accesses spent queued behind busy banks.
     pub fn queued_cycles(&self) -> Cycles {
         self.banks.queued_cycles()

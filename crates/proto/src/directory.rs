@@ -134,7 +134,8 @@ struct BlockEntry<M> {
     owner: u16,
 }
 
-/// Owner sentinel: no node holds the block dirty.
+/// Owner sentinel: no node holds the block dirty.  All ones, which
+/// `flush_entry` relies on.
 const NO_OWNER: u16 = u16::MAX;
 
 /// Node-count ceiling imposed by the wide entry's `u64` bitsets.
@@ -239,20 +240,32 @@ fn fetch_entry<M: Mask>(
 }
 
 /// Entry mutation for [`Directory::flush_page`]: drop `node`'s copy and
-/// mark it induced-cold.  Returns `(dropped, was_dirty)`.
+/// mark it induced-cold.  Returns `(dropped, was_dirty)`.  Written as
+/// masks rather than an early return or selects (which the compiler may
+/// turn back into branches): a page flush folds it over 32 entries whose
+/// membership is unpredictable.
 #[inline]
 fn flush_entry<M: Mask>(e: &mut BlockEntry<M>, node: NodeId) -> (bool, bool) {
-    let nb = M::bit(node);
-    if !(e.copyset & nb).any() {
-        return (false, false);
-    }
-    e.copyset &= !nb;
-    let dirty = e.owner == node.0;
-    if dirty {
-        e.owner = NO_OWNER;
-    }
-    e.induced |= nb;
-    (true, dirty)
+    // `node`'s bit if it holds a copy, else empty.
+    let held = e.copyset & M::bit(node);
+    let dropped = held.any();
+    let dirty = dropped & (e.owner == node.0);
+    e.copyset &= !held;
+    e.induced |= held;
+    // NO_OWNER is all ones: OR-ing an all-ones mask returns ownership
+    // home, a zero mask keeps it.
+    e.owner |= (dirty as u16).wrapping_neg();
+    (dropped, dirty)
+}
+
+/// [`flush_entry`] over a page's contiguous entries.  Returns
+/// `(dropped, dirty)` counts.
+#[inline]
+fn flush_entries<M: Mask>(entries: &mut [BlockEntry<M>], node: NodeId) -> (u32, u32) {
+    entries.iter_mut().fold((0, 0), |(n, d), e| {
+        let (dropped, dirty) = flush_entry(e, node);
+        (n + dropped as u32, d + dirty as u32)
+    })
 }
 
 /// Entry mutation for [`Directory::writeback`]: ownership returns home.
@@ -477,23 +490,17 @@ impl Directory {
     /// Dropped blocks are marked so the node's next fetch of each is
     /// classified [`FetchClass::ColdInduced`].
     pub fn flush_page(&mut self, node: NodeId, page: VPage) -> (u32, u32) {
-        let bpp = self.geometry.blocks_per_page();
-        let mut dropped = 0;
-        let mut dirty = 0;
-        for i in 0..bpp {
-            let b = self.geometry.block_id(page, i);
-            let bi = b.0 as usize;
-            let (was_dropped, was_dirty) = match &mut self.blocks {
-                BlockStore::Packed(v) => flush_entry(&mut v[bi], node),
-                BlockStore::Wide(v) => flush_entry(&mut v[bi], node),
-            };
-            if was_dropped {
-                dropped += 1;
-                dirty += was_dirty as u32;
-                self.debug_validate_entry(b);
-            }
+        // A page's blocks are numbered contiguously from its block 0.
+        let first = self.geometry.block_id(page, 0).0 as usize;
+        let blocks = first..first + self.geometry.blocks_per_page() as usize;
+        let counts = match &mut self.blocks {
+            BlockStore::Packed(v) => flush_entries(&mut v[blocks.clone()], node),
+            BlockStore::Wide(v) => flush_entries(&mut v[blocks.clone()], node),
+        };
+        for b in blocks {
+            self.debug_validate_entry(BlockId(b as u64));
         }
-        (dropped, dirty)
+        counts
     }
 
     /// A permission-only upgrade: `node` already holds valid data for

@@ -6,26 +6,28 @@
 //! * a write leaves exactly the writer in the copyset;
 //! * refetch counters are monotone between resets and only advance on
 //!   copyset re-requests;
-//! * flush_page removes the node from every copyset of the page and the
-//!   node's next fetches classify induced-cold exactly once per block;
+//! * flush_page removes the node from every copyset of the page, clears
+//!   its ownership, marks exactly its dropped blocks induced-cold, leaves
+//!   every other entry alone, and returns the counts a per-entry
+//!   reference loop gives; the node's next fetches classify induced-cold
+//!   exactly once per block;
 //! * written pages never accept new replicas (the full "written pages
 //!   hold no replicas" invariant is maintained by the machine layer and
 //!   checked end-to-end in tests/invariants.rs).
-
-// Gated: requires the external `proptest` crate, unavailable in the
-// offline build environment.  Enable with `--features proptests` after
-// restoring the proptest dev-dependency.
-#![cfg(feature = "proptests")]
+//!
+//! Random operation sequences come from the vendored deterministic RNG
+//! (`ascoma_sim::rng::SimRng`), so a failure reproduces from the printed
+//! node count and seed.  Both entry stores run: 4 nodes (packed) and 20
+//! (wide).
 
 use ascoma_proto::{Directory, FetchClass};
-use ascoma_sim::addr::{Geometry, VPage};
-use ascoma_sim::NodeId;
-use proptest::prelude::*;
+use ascoma_sim::addr::{BlockId, Geometry, VPage};
+use ascoma_sim::rng::SimRng;
+use ascoma_sim::{NodeId, NodeSet};
 
 const PAGES: u64 = 4;
-const NODES: usize = 4;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum DirOp {
     Fetch { node: u16, block: u64, write: bool },
     Upgrade { node: u16, block: u64 },
@@ -36,179 +38,225 @@ enum DirOp {
     Collapse { node: u16, page: u64 },
 }
 
-fn arb_ops() -> impl Strategy<Value = Vec<DirOp>> {
-    let blocks = PAGES * 32;
-    proptest::collection::vec(
-        (
-            0u16..NODES as u16,
-            0u64..blocks,
-            0u64..PAGES,
-            any::<bool>(),
-            0u8..7,
-        )
-            .prop_map(|(node, block, page, write, kind)| match kind {
-                0 | 1 => DirOp::Fetch { node, block, write },
-                2 => DirOp::Upgrade { node, block },
-                3 => DirOp::FlushPage { node, page },
-                4 => DirOp::Writeback { node, block },
-                5 => DirOp::ResetRefetch { node, page },
-                _ => {
-                    if write {
-                        DirOp::AddReplica { node, page }
-                    } else {
-                        DirOp::Collapse { node, page }
-                    }
-                }
-            }),
-        1..300,
-    )
+fn random_op(rng: &mut SimRng, nodes: usize) -> DirOp {
+    let node = rng.below(nodes as u64) as u16;
+    let block = rng.below(PAGES * 32);
+    let page = rng.below(PAGES);
+    let write = rng.chance(0.5);
+    match rng.below(7) {
+        0 | 1 => DirOp::Fetch { node, block, write },
+        2 => DirOp::Upgrade { node, block },
+        3 => DirOp::FlushPage { node, page },
+        4 => DirOp::Writeback { node, block },
+        5 => DirOp::ResetRefetch { node, page },
+        _ if write => DirOp::AddReplica { node, page },
+        _ => DirOp::Collapse { node, page },
+    }
 }
 
-/// Track, alongside the directory, which blocks each node "holds" per the
-/// protocol's own rules, to validate upgrade preconditions.
-fn holds(dir: &Directory, node: NodeId, block: ascoma_sim::addr::BlockId) -> bool {
-    dir.in_copyset(node, block)
+/// Every entry's observable state, block by block.
+fn snapshot(dir: &Directory, blocks: u64) -> Vec<(NodeSet, Option<NodeId>, NodeSet, NodeSet)> {
+    (0..blocks)
+        .map(|b| {
+            let b = BlockId(b);
+            (
+                dir.copyset_of(b),
+                dir.owner_of(b),
+                dir.ever_of(b),
+                dir.induced_of(b),
+            )
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    #[test]
-    fn protocol_invariants_hold(ops in arb_ops()) {
-        let geo = Geometry::paper();
-        let mut dir = Directory::new(geo, PAGES, NODES);
-        let blocks = PAGES * geo.blocks_per_page() as u64;
-        // Last observed refetch counts for monotonicity checking.
-        let mut last = vec![[0u32; NODES]; PAGES as usize];
-
-        for op in ops {
-            match op {
-                DirOp::Fetch { node, block, write } => {
-                    let n = NodeId(node);
-                    let b = ascoma_sim::addr::BlockId(block);
-                    let was_member = dir.in_copyset(n, b);
-                    let out = dir.fetch(n, b, write);
-                    // Classification vs prior membership.
-                    if was_member {
-                        prop_assert_eq!(out.class, FetchClass::Refetch);
-                    } else {
-                        prop_assert_ne!(out.class, FetchClass::Refetch);
-                    }
-                    // Requester is always a member afterwards.
-                    prop_assert!(dir.in_copyset(n, b));
-                    if write {
-                        prop_assert_eq!(dir.owner_of(b), Some(n));
-                        // Sole member after a write.
-                        for o in 0..NODES as u16 {
-                            if o != node {
-                                prop_assert!(!dir.in_copyset(NodeId(o), b));
-                            }
-                        }
-                        // Invalidation set excluded the writer.
-                        prop_assert!(!out.invalidate.contains(n));
-                    }
-                }
-                DirOp::Upgrade { node, block } => {
-                    let n = NodeId(node);
-                    let b = ascoma_sim::addr::BlockId(block);
-                    // Upgrades are only legal from sharers (machine
-                    // guarantees this; emulate the precondition).
-                    if holds(&dir, n, b) {
-                        let page = geo.page_of_block(b);
-                        let before = dir.refetch_count(page, n);
-                        let inv = dir.upgrade(n, b);
-                        prop_assert!(!inv.contains(n));
-                        prop_assert_eq!(dir.owner_of(b), Some(n));
-                        // Upgrades never count as refetches.
-                        prop_assert_eq!(dir.refetch_count(page, n), before);
-                    }
-                }
-                DirOp::FlushPage { node, page } => {
-                    let n = NodeId(node);
-                    let p = VPage(page);
-                    dir.flush_page(n, p);
-                    for i in 0..geo.blocks_per_page() {
-                        let b = geo.block_id(p, i);
-                        prop_assert!(!dir.in_copyset(n, b));
-                        prop_assert_ne!(dir.owner_of(b), Some(n));
-                    }
-                }
-                DirOp::Writeback { node, block } => {
-                    let n = NodeId(node);
-                    let b = ascoma_sim::addr::BlockId(block);
-                    dir.writeback(n, b);
-                    prop_assert_ne!(dir.owner_of(b), Some(n));
-                }
-                DirOp::ResetRefetch { node, page } => {
-                    let n = NodeId(node);
-                    let p = VPage(page);
-                    dir.reset_refetch(p, n);
-                    prop_assert_eq!(dir.refetch_count(p, n), 0);
-                    last[page as usize][node as usize] = 0;
-                }
-                DirOp::AddReplica { node, page } => {
-                    let n = NodeId(node);
-                    let p = VPage(page);
-                    let accepted = dir.add_replica(n, p);
-                    prop_assert_eq!(accepted, !dir.page_written(p));
-                }
-                DirOp::Collapse { node, page } => {
-                    let n = NodeId(node);
-                    let p = VPage(page);
-                    let shoot = dir.collapse_replicas(n, p);
-                    prop_assert!(!shoot.contains(n));
-                    prop_assert!(dir.replicas_of(p).is_empty());
-                    prop_assert!(dir.page_written(p));
-                }
-            }
-
-            // Global invariants after every operation.
-            for blk in 0..blocks {
-                let b = ascoma_sim::addr::BlockId(blk);
-                if let Some(o) = dir.owner_of(b) {
-                    prop_assert!(
-                        dir.in_copyset(o, b),
-                        "owner {o} of block {blk} not a sharer"
-                    );
-                }
-            }
-            for pg in 0..PAGES {
-                let p = VPage(pg);
-                // Note: "written page has no replicas" is a *machine*
-                // invariant — the machine collapses replicas before any
-                // write reaches the directory (tests/invariants.rs checks
-                // it end-to-end).  At this layer we only require that a
-                // written page never *accepts* new replicas, which the
-                // AddReplica arm asserts.
-                // Refetch counters monotone between resets.
-                for (nd, slot) in last[pg as usize].iter_mut().enumerate() {
-                    let c = dir.refetch_count(p, NodeId(nd as u16));
-                    prop_assert!(c >= *slot);
-                    *slot = c;
-                }
+/// Check one `flush_page` against a per-entry reference loop over the
+/// entries as they were before it.
+fn check_flush(dir: &mut Directory, n: NodeId, p: VPage, ctx: &str) {
+    let geo = dir.geometry();
+    let blocks = PAGES * geo.blocks_per_page() as u64;
+    let mut want = snapshot(dir, blocks);
+    let (mut dropped, mut dirty) = (0, 0);
+    for i in 0..geo.blocks_per_page() {
+        let (copyset, owner, _, induced) = &mut want[geo.block_id(p, i).0 as usize];
+        if copyset.contains(n) {
+            copyset.remove(n);
+            induced.insert(n);
+            dropped += 1;
+            if *owner == Some(n) {
+                *owner = None;
+                dirty += 1;
             }
         }
     }
+    assert_eq!(dir.flush_page(n, p), (dropped, dirty), "{ctx}: counts");
+    assert_eq!(snapshot(dir, blocks), want, "{ctx}: entries");
+}
 
-    #[test]
-    fn induced_cold_fires_exactly_once_per_flushed_block(
-        node in 0u16..NODES as u16,
-        touched in proptest::collection::btree_set(0u32..32, 1..20),
-    ) {
-        let geo = Geometry::paper();
-        let mut dir = Directory::new(geo, PAGES, NODES);
-        let n = NodeId(node);
+/// Apply `ops` to a fresh `nodes`-node directory, checking every
+/// property after each; `case` names the sequence in failure messages.
+fn protocol_invariants_hold(nodes: usize, ops: impl IntoIterator<Item = DirOp>, case: &str) {
+    let geo = Geometry::paper();
+    let mut dir = Directory::new(geo, PAGES, nodes);
+    let blocks = PAGES * geo.blocks_per_page() as u64;
+    // Last observed refetch counts for monotonicity checking.
+    let mut last = vec![vec![0u32; nodes]; PAGES as usize];
+
+    for (step, op) in ops.into_iter().enumerate() {
+        let ctx = format!("nodes {nodes} {case} step {step}: {op:?}");
+        match op {
+            DirOp::Fetch { node, block, write } => {
+                let n = NodeId(node);
+                let b = BlockId(block);
+                let was_member = dir.in_copyset(n, b);
+                let out = dir.fetch(n, b, write);
+                // Classification vs prior membership.
+                assert_eq!(out.class == FetchClass::Refetch, was_member, "{ctx}");
+                // Requester is always a member afterwards.
+                assert!(dir.in_copyset(n, b), "{ctx}");
+                if write {
+                    assert_eq!(dir.owner_of(b), Some(n), "{ctx}");
+                    // Sole member after a write.
+                    assert_eq!(dir.copyset_of(b), NodeSet::single(n), "{ctx}");
+                    // Invalidation set excluded the writer.
+                    assert!(!out.invalidate.contains(n), "{ctx}");
+                }
+            }
+            DirOp::Upgrade { node, block } => {
+                let n = NodeId(node);
+                let b = BlockId(block);
+                // Upgrades are only legal from sharers (machine
+                // guarantees this; emulate the precondition).
+                if dir.in_copyset(n, b) {
+                    let page = geo.page_of_block(b);
+                    let before = dir.refetch_count(page, n);
+                    let inv = dir.upgrade(n, b);
+                    assert!(!inv.contains(n), "{ctx}");
+                    assert_eq!(dir.owner_of(b), Some(n), "{ctx}");
+                    // Upgrades never count as refetches.
+                    assert_eq!(dir.refetch_count(page, n), before, "{ctx}");
+                }
+            }
+            DirOp::FlushPage { node, page } => {
+                check_flush(&mut dir, NodeId(node), VPage(page), &ctx);
+            }
+            DirOp::Writeback { node, block } => {
+                let n = NodeId(node);
+                let b = BlockId(block);
+                dir.writeback(n, b);
+                assert_ne!(dir.owner_of(b), Some(n), "{ctx}");
+            }
+            DirOp::ResetRefetch { node, page } => {
+                let n = NodeId(node);
+                let p = VPage(page);
+                dir.reset_refetch(p, n);
+                assert_eq!(dir.refetch_count(p, n), 0, "{ctx}");
+                last[page as usize][node as usize] = 0;
+            }
+            DirOp::AddReplica { node, page } => {
+                let p = VPage(page);
+                let accepted = dir.add_replica(NodeId(node), p);
+                assert_eq!(accepted, !dir.page_written(p), "{ctx}");
+            }
+            DirOp::Collapse { node, page } => {
+                let n = NodeId(node);
+                let p = VPage(page);
+                let shoot = dir.collapse_replicas(n, p);
+                assert!(!shoot.contains(n), "{ctx}");
+                assert!(dir.replicas_of(p).is_empty(), "{ctx}");
+                assert!(dir.page_written(p), "{ctx}");
+            }
+        }
+
+        // Global invariants after every operation.
+        for blk in 0..blocks {
+            let b = BlockId(blk);
+            if let Some(o) = dir.owner_of(b) {
+                assert!(
+                    dir.in_copyset(o, b),
+                    "{ctx}: owner {o} of block {blk} not a sharer"
+                );
+            }
+        }
+        // Refetch counters monotone between resets.  ("Written page has
+        // no replicas" is a machine invariant — the machine collapses
+        // replicas before any write reaches the directory — so at this
+        // layer only the AddReplica arm's refusal is checked.)
+        for (pg, counts) in last.iter_mut().enumerate() {
+            for (nd, slot) in counts.iter_mut().enumerate() {
+                let c = dir.refetch_count(VPage(pg as u64), NodeId(nd as u16));
+                assert!(c >= *slot, "{ctx}: refetch counter fell");
+                *slot = c;
+            }
+        }
+    }
+}
+
+fn random_ops(nodes: usize, seed: u64, len: usize) -> impl Iterator<Item = DirOp> {
+    let mut rng = SimRng::seed_from(seed);
+    (0..len).map(move |_| random_op(&mut rng, nodes))
+}
+
+#[test]
+fn protocol_invariants_hold_packed() {
+    for seed in 0..192 {
+        protocol_invariants_hold(4, random_ops(4, seed, 300), &format!("seed {seed}"));
+    }
+}
+
+#[test]
+fn protocol_invariants_hold_wide() {
+    for seed in 0..64 {
+        protocol_invariants_hold(20, random_ops(20, seed, 300), &format!("seed {seed}"));
+    }
+}
+
+/// The recorded counterexample that moved "written pages hold no
+/// replicas" to the machine layer: a write fetch reaches the directory on
+/// a page that still registers a replica.  Every directory-level property
+/// must still hold on it.
+#[test]
+fn protocol_invariants_hold_on_recorded_regression() {
+    let ops = [
+        DirOp::AddReplica { node: 0, page: 3 },
+        DirOp::Fetch {
+            node: 0,
+            block: 0,
+            write: false,
+        },
+        DirOp::Fetch {
+            node: 0,
+            block: 0,
+            write: false,
+        },
+        DirOp::Fetch {
+            node: 0,
+            block: 96,
+            write: true,
+        },
+    ];
+    protocol_invariants_hold(4, ops, "recorded regression");
+}
+
+#[test]
+fn induced_cold_fires_exactly_once_per_flushed_block() {
+    let geo = Geometry::paper();
+    let mut rng = SimRng::seed_from(7);
+    for case in 0..128 {
+        let nodes = if case % 2 == 0 { 4 } else { 20 };
+        let mut dir = Directory::new(geo, PAGES, nodes);
+        let n = NodeId(rng.below(nodes as u64) as u16);
         let p = VPage(1);
+        let touched: Vec<u32> = (0..32).filter(|_| rng.chance(0.5)).collect();
         for &i in &touched {
-            dir.fetch(n, geo.block_id(p, i), false);
+            dir.fetch(n, geo.block_id(p, i), rng.chance(0.3));
         }
         let (dropped, _) = dir.flush_page(n, p);
-        prop_assert_eq!(dropped as usize, touched.len());
+        assert_eq!(dropped as usize, touched.len(), "case {case}");
         for &i in &touched {
             let out1 = dir.fetch(n, geo.block_id(p, i), false);
-            prop_assert_eq!(out1.class, FetchClass::ColdInduced);
+            assert_eq!(out1.class, FetchClass::ColdInduced, "case {case}");
             let out2 = dir.fetch(n, geo.block_id(p, i), false);
-            prop_assert_eq!(out2.class, FetchClass::Refetch);
+            assert_eq!(out2.class, FetchClass::Refetch, "case {case}");
         }
     }
 }

@@ -19,12 +19,8 @@ use crate::Cycles;
 #[derive(Debug, Clone, Default)]
 pub struct Resource {
     free_at: Cycles,
-    /// Total cycles of service rendered (for utilization reporting).
-    busy_cycles: Cycles,
     /// Total cycles requesters spent queued before starting service.
     queued_cycles: Cycles,
-    /// Number of acquisitions.
-    acquisitions: u64,
 }
 
 impl Resource {
@@ -42,8 +38,6 @@ impl Resource {
     pub fn acquire(&mut self, now: Cycles, occupancy: Cycles) -> Cycles {
         let start = now.max(self.free_at);
         self.queued_cycles += start - now;
-        self.busy_cycles += occupancy;
-        self.acquisitions += 1;
         self.free_at = start + occupancy;
         start
     }
@@ -60,28 +54,9 @@ impl Resource {
         self.free_at
     }
 
-    /// Total busy (service) cycles so far.
-    pub fn busy_cycles(&self) -> Cycles {
-        self.busy_cycles
-    }
-
     /// Total cycles requesters spent waiting in queue.
     pub fn queued_cycles(&self) -> Cycles {
         self.queued_cycles
-    }
-
-    /// Number of acquisitions so far.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
-    }
-
-    /// Utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: Cycles) -> f64 {
-        if horizon == 0 {
-            0.0
-        } else {
-            self.busy_cycles as f64 / horizon as f64
-        }
     }
 
     /// Reset to the free state, clearing statistics.
@@ -141,11 +116,6 @@ impl BankedResource {
         self.banks.is_empty()
     }
 
-    /// Aggregate busy cycles across banks.
-    pub fn busy_cycles(&self) -> Cycles {
-        self.banks.iter().map(Resource::busy_cycles).sum()
-    }
-
     /// Aggregate queued cycles across banks.
     pub fn queued_cycles(&self) -> Cycles {
         self.banks.iter().map(Resource::queued_cycles).sum()
@@ -190,16 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_cycles_accumulate() {
-        let mut r = Resource::new();
-        r.acquire(0, 7);
-        r.acquire(0, 3);
-        assert_eq!(r.busy_cycles(), 10);
-        assert_eq!(r.acquisitions(), 2);
-        assert!((r.utilization(20) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn banked_routes_by_interleave() {
         let b = BankedResource::new(4, 128);
         assert_eq!(b.bank_of(0), 0);
@@ -224,9 +184,10 @@ mod tests {
     fn reset_clears_state() {
         let mut r = Resource::new();
         r.acquire(0, 100);
+        r.acquire(0, 10);
         r.reset();
         assert_eq!(r.free_at(), 0);
-        assert_eq!(r.busy_cycles(), 0);
+        assert_eq!(r.queued_cycles(), 0);
     }
 
     #[test]

@@ -81,9 +81,9 @@ impl Tlb {
         let set = self.set_of(page);
         let base = set * self.ways;
         let slots = &mut self.entries[base..base + self.ways];
-        // Plain equality sweep over raw tags: unrollable and free of
-        // per-slot discriminant branches.
-        if slots.contains(&page.0) {
+        // Equality fold over every way: no early exit, so the sweep is
+        // branch-free whichever way (if any) holds the page.
+        if slots.iter().fold(false, |hit, &t| hit | (t == page.0)) {
             self.hits += 1;
             self.mru = page.0;
             return true;
