@@ -1,6 +1,6 @@
 //! Overhead of the observability layer.
 //!
-//! Five variants of the same em3d/AS-COMA run at 70% pressure:
+//! Six variants of the same em3d/AS-COMA run at 70% pressure:
 //!
 //! * `baseline`       — plain `simulate` (no sink type parameter in play);
 //! * `noop_sink`      — `simulate_with_sink(.., NoopSink)`: emission
@@ -15,7 +15,11 @@
 //!   `bench report`, `inspect trace` and `bench watch`: recording, the
 //!   online lifecycle summary, the metrics registry and snapshots.  Its
 //!   cost over baseline is printed per event, and its recorded log size
-//!   in bytes per event, advisory only (no budget).
+//!   in bytes per event, advisory only (no budget);
+//! * `batched`        — the simulating thread's share of `observed`:
+//!   events batched to a `BatchSink` whose worker discards them.  The
+//!   observed path folds on that worker, so this is what observation
+//!   still costs the thread that simulates, printed per event, advisory.
 //!
 //! The variants are sampled *interleaved* (A, B, C, A, B, C, ...) so that
 //! clock-frequency drift over the bench's lifetime biases all of them
@@ -28,7 +32,7 @@
 use ascoma::experiments::{run_cells_streamed, StreamCell};
 use ascoma::machine::{simulate, simulate_measured_streamed, simulate_with_sink};
 use ascoma::{Arch, SimConfig};
-use ascoma_obs::{EventLog, NoopSink};
+use ascoma_obs::{BatchSink, EventLog, NoopSink};
 use ascoma_workloads::{App, SizeClass};
 use std::hint::black_box;
 use std::time::Instant;
@@ -99,6 +103,18 @@ fn main() {
             },
         ));
     };
+    let mut run_batched = || {
+        black_box(std::thread::scope(|scope| {
+            simulate_with_sink(
+                black_box(&trace),
+                Arch::AsComa,
+                black_box(&cfg),
+                BatchSink::spawn(scope, NoopSink),
+            )
+            .1
+            .finish()
+        }));
+    };
 
     // Warm-up: one batch of each.
     run_base();
@@ -106,9 +122,10 @@ fn main() {
     run_log();
     run_off();
     run_obs();
+    run_batched();
     let (_r, events, _reg) =
         simulate_measured_streamed(&trace, Arch::AsComa, &cfg, obs_window, obs_window, |_| {});
-    let log_bytes = events.bytes().len() as f64;
+    let log_bytes = events.byte_len() as f64;
     let events = events.len() as f64;
 
     let mut base = Vec::with_capacity(SAMPLES);
@@ -116,26 +133,30 @@ fn main() {
     let mut log = Vec::with_capacity(SAMPLES);
     let mut off = Vec::with_capacity(SAMPLES);
     let mut obs = Vec::with_capacity(SAMPLES);
+    let mut batched = Vec::with_capacity(SAMPLES);
     for _ in 0..SAMPLES {
         base.push(batch_ns(&mut run_base));
         noop.push(batch_ns(&mut run_noop));
         log.push(batch_ns(&mut run_log));
         off.push(batch_ns(&mut run_off));
         obs.push(batch_ns(&mut run_obs));
+        batched.push(batch_ns(&mut run_batched));
     }
 
-    let (base, noop, log, off, obs) = (
+    let (base, noop, log, off, obs, batched) = (
         median(base),
         median(noop),
         median(log),
         median(off),
         median(obs),
+        median(batched),
     );
     println!("obs/baseline   {base:>12.0} ns/iter");
     println!("obs/noop_sink  {noop:>12.0} ns/iter");
     println!("obs/log_sink   {log:>12.0} ns/iter");
     println!("obs/stream_off {off:>12.0} ns/iter");
     println!("obs/observed   {obs:>12.0} ns/iter");
+    println!("obs/batched    {batched:>12.0} ns/iter");
 
     let overhead = noop / base - 1.0;
     let off_overhead = off / base - 1.0;
@@ -151,6 +172,10 @@ fn main() {
     println!(
         "observed over baseline:          {:+.1} ns/event ({events:.0} events, advisory)",
         (obs - base) / events
+    );
+    println!(
+        "observed on simulating thread:   {:+.1} ns/event (advisory)",
+        (batched - base) / events
     );
     println!(
         "observed recorded log:           {:.2} bytes/event (advisory)",

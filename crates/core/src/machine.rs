@@ -26,8 +26,8 @@ use ascoma_mem::cache::{DirectMappedCache, Lookup};
 use ascoma_mem::timing::LocalMemory;
 use ascoma_net::{Network, Topology};
 use ascoma_obs::{
-    BackoffKind, Controller, Event, EventLog, EvictCause, MapMode, MetricsRegistry, MissLoc,
-    NoopSink, Sink, Snapshot, StreamSink, SummaryFold, ThresholdStep, WindowSample,
+    BackoffKind, BatchSink, Controller, Event, EventLog, EvictCause, MapMode, MetricsRegistry,
+    MissLoc, NoopSink, Sink, Snapshot, StreamSink, SummaryFold, ThresholdStep, WindowSample,
 };
 use ascoma_proto::{Directory, FetchClass, ProtoStats};
 use ascoma_sim::addr::{VAddr, VPage};
@@ -1787,7 +1787,7 @@ pub fn simulate_with_sink<S: Sink>(
 /// ```
 pub fn simulate_traced(trace: &Trace, arch: Arch, cfg: &SimConfig) -> (RunResult, EventLog) {
     let (mut result, (log, summary)) =
-        simulate_with_sink(trace, arch, cfg, observed_sink(trace.nodes));
+        simulate_offloaded(trace, arch, cfg, observed_sink(trace.nodes));
     result.obs = Some(summary.finish());
     (result, log)
 }
@@ -1797,6 +1797,23 @@ pub fn simulate_traced(trace: &Trace, arch: Arch, cfg: &SimConfig) -> (RunResult
 /// so no entry point re-reads the recorded stream.
 fn observed_sink(nodes: usize) -> (EventLog, SummaryFold) {
     (EventLog::new(), SummaryFold::new(nodes))
+}
+
+/// [`simulate_with_sink`] with `sink` run on a second thread: the
+/// machine emits into a [`BatchSink`], and one scoped worker owns
+/// `sink` and emits every event into it in order, so `sink` ends in
+/// the state an in-thread run leaves it in (`tests/observed_offload.rs`
+/// asserts it).  A panic in `sink` is re-raised here.
+fn simulate_offloaded<S: Sink + Send>(
+    trace: &Trace,
+    arch: Arch,
+    cfg: &SimConfig,
+    sink: S,
+) -> (RunResult, S) {
+    std::thread::scope(|scope| {
+        let (result, batches) = simulate_with_sink(trace, arch, cfg, BatchSink::spawn(scope, sink));
+        (result, batches.finish())
+    })
 }
 
 /// Run `trace` with full tracing *and* metrics: like [`simulate_traced`],
@@ -1843,7 +1860,7 @@ pub fn simulate_measured(
 /// A/B.  Periodic free-pool/threshold/net samples only exist if
 /// [`SimConfig::obs_sample_period`] is non-zero; set it (e.g. to the
 /// cadence) for populated node gauges.
-pub fn simulate_streamed<F: FnMut(Snapshot)>(
+pub fn simulate_streamed<F: FnMut(Snapshot) + Send>(
     trace: &Trace,
     arch: Arch,
     cfg: &SimConfig,
@@ -1852,7 +1869,7 @@ pub fn simulate_streamed<F: FnMut(Snapshot)>(
     on_snap: F,
 ) -> (RunResult, MetricsRegistry) {
     let sink = StreamSink::new(NoopSink, trace.nodes, window, cadence, on_snap);
-    let (result, mut sink) = simulate_with_sink(trace, arch, cfg, sink);
+    let (result, mut sink) = simulate_offloaded(trace, arch, cfg, sink);
     sink.snapshot_now(result.cycles);
     let (_noop, registry) = sink.into_parts();
     (result, registry)
@@ -1866,7 +1883,7 @@ pub fn simulate_streamed<F: FnMut(Snapshot)>(
 /// summary and metrics digest) equals what the offline folds
 /// ([`ascoma_obs::summarize`], [`MetricsRegistry::from_events`]) give
 /// over the returned events — `tests/online_fold.rs` asserts it.
-pub fn simulate_measured_streamed<F: FnMut(Snapshot)>(
+pub fn simulate_measured_streamed<F: FnMut(Snapshot) + Send>(
     trace: &Trace,
     arch: Arch,
     cfg: &SimConfig,
@@ -1881,7 +1898,7 @@ pub fn simulate_measured_streamed<F: FnMut(Snapshot)>(
         cadence,
         on_snap,
     );
-    let (mut result, mut sink) = simulate_with_sink(trace, arch, cfg, sink);
+    let (mut result, mut sink) = simulate_offloaded(trace, arch, cfg, sink);
     sink.snapshot_now(result.cycles);
     let ((log, summary), registry) = sink.into_parts();
     result.obs = Some(summary.finish());

@@ -16,6 +16,9 @@
 //!   simulator;
 //! * recording sinks: the compact, lossless [`EventLog`] (about 7 bytes
 //!   per event, decoded on iteration), [`RingSink`], [`JsonlSink`];
+//! * [`BatchSink`], which batches events to a second thread that owns
+//!   the real sink stack, so recording and folding run beside the
+//!   simulation instead of on its thread;
 //! * exporters to JSONL and Chrome `trace_event` JSON (loadable in
 //!   Perfetto / `chrome://tracing`) in [`export`];
 //! * a [`summary`] API folding a trace back into per-page lifecycle
@@ -59,7 +62,7 @@ pub use event::{BackoffKind, Event, EvictCause, MapMode, MissLoc, TimedEvent, KI
 pub use import::{parse_event_line, parse_jsonl};
 pub use log::EventLog;
 pub use metrics::{HistStat, MetricsDigest, MetricsRegistry, MetricsSink};
-pub use sink::{JsonlSink, NoopSink, RingSink, Sink};
+pub use sink::{BatchSink, JsonlSink, NoopSink, RingSink, Sink};
 pub use snapshot::{channel_sink, parse_stream_line, NodeSnap, Snapshot, StreamEvent, StreamSink};
 pub use summary::{
     summarize, summarize_lossy, DaemonEpochRecord, LifecycleViolation, PageLifecycle, Summary,

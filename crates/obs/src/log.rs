@@ -19,6 +19,12 @@
 //!   (bit 3) into one byte and [`Phase`]s are varints of
 //!   [`Phase::index`].
 //!
+//! Records are stored in fixed 64 KiB blocks that are allocated once and
+//! never reallocated, and no record straddles two blocks: a block is
+//! sealed once it could not hold a record of the largest size.  A
+//! growing log therefore never copies what it holds, and its footprint
+//! is its content plus one block.
+//!
 //! Only [`EventLog`]'s own encoder writes the bytes, so decoding cannot
 //! meet a malformed record; should it, the iterator ends instead of
 //! panicking.
@@ -35,12 +41,24 @@ const KIND_BITS: u32 = 5;
 const KIND_MASK: u8 = (1 << KIND_BITS) - 1;
 const _: () = assert!(KINDS <= 1 << KIND_BITS, "event kinds overflow the tag");
 
+/// Capacity of one storage block, in bytes.
+const BLOCK_BYTES: usize = 64 << 10;
+
+/// Upper bound on one encoded record: a tag byte, a 3-byte node, a
+/// 10-byte cycle delta and at most 40 bytes of fields (`TuneApplied`
+/// and `MemSample`), rounded up.
+const MAX_RECORD: usize = 64;
+
 /// A recorded event stream, compactly encoded (see the module docs).
 /// Records every event it is [`Sink::emit`]ted; decode with
-/// [`EventLog::iter`].
-#[derive(Clone, Default, PartialEq, Eq)]
+/// [`EventLog::iter`].  Two logs are equal when they hold the same
+/// records, however those are split across blocks.
+#[derive(Clone, Default)]
 pub struct EventLog {
-    bytes: Vec<u8>,
+    /// Sealed blocks, in order.
+    full: Vec<Vec<u8>>,
+    /// The open block records are appended to.
+    cur: Vec<u8>,
     len: usize,
     /// Each node's last recorded cycle: the base of its next delta.
     last: Vec<Cycles>,
@@ -62,20 +80,53 @@ impl EventLog {
         self.len == 0
     }
 
-    /// The encoded records.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// Size of the encoded records, in bytes.
+    pub fn byte_len(&self) -> usize {
+        self.blocks().map(<[u8]>::len).sum()
+    }
+
+    /// The encoded records, block by block; every block holds whole
+    /// records.
+    pub fn blocks(&self) -> impl Iterator<Item = &[u8]> {
+        self.full
+            .iter()
+            .chain(std::iter::once(&self.cur))
+            .map(Vec::as_slice)
+            .filter(|b| !b.is_empty())
     }
 
     /// Decode the events in emission order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
-            bytes: &self.bytes,
+            blocks: self.full.iter(),
+            tail: &self.cur,
+            bytes: &[],
             pos: 0,
             last: Vec::new(),
         }
     }
+
+    /// The block the next record goes into, opening a fresh one when the
+    /// current block could not hold a record of `MAX_RECORD` bytes.
+    #[inline]
+    fn room(&mut self) -> &mut Vec<u8> {
+        if self.cur.capacity() - self.cur.len() < MAX_RECORD {
+            let sealed = std::mem::replace(&mut self.cur, Vec::with_capacity(BLOCK_BYTES));
+            if !sealed.is_empty() {
+                self.full.push(sealed);
+            }
+        }
+        &mut self.cur
+    }
 }
+
+impl PartialEq for EventLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.blocks().flatten().eq(other.blocks().flatten())
+    }
+}
+
+impl Eq for EventLog {}
 
 /// Append `v` as a LEB128 varint.
 #[inline]
@@ -115,7 +166,7 @@ impl Sink for EventLog {
         let prev = std::mem::replace(clock(&mut self.last, node), cycle);
         let delta = zigzag(cycle.wrapping_sub(prev));
         let kind = event.kind_index() as u8;
-        let b = &mut self.bytes;
+        let b = self.room();
         let head = |b: &mut Vec<u8>, payload: u8| {
             b.push(kind | payload << KIND_BITS);
             put(b, u64::from(node.0));
@@ -289,6 +340,11 @@ impl Sink for EventLog {
 /// Decoding iterator over an [`EventLog`]; yields events by value.
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
+    /// Sealed blocks not yet entered.
+    blocks: std::slice::Iter<'a, Vec<u8>>,
+    /// The open block, decoded after the sealed ones.
+    tail: &'a [u8],
+    /// The block being decoded.
     bytes: &'a [u8],
     pos: usize,
     last: Vec<Cycles>,
@@ -470,13 +526,22 @@ impl Iterator for Iter<'_> {
     type Item = TimedEvent;
 
     fn next(&mut self) -> Option<TimedEvent> {
-        if self.pos >= self.bytes.len() {
-            return None;
+        // Records never straddle blocks, so each starts in a fresh
+        // block or where the previous one ended.
+        while self.pos >= self.bytes.len() {
+            self.bytes = match self.blocks.next() {
+                Some(b) => b,
+                None if !self.tail.is_empty() => std::mem::take(&mut self.tail),
+                None => return None,
+            };
+            self.pos = 0;
         }
         let te = self.decode();
         if te.is_none() {
             // A malformed record ends the stream rather than desyncing it.
             self.pos = self.bytes.len();
+            self.blocks = [].iter();
+            self.tail = &[];
         }
         te
     }
@@ -695,6 +760,17 @@ mod tests {
         assert_eq!(log.iter().collect::<EventLog>(), log);
     }
 
+    /// An iterator over `block` alone, as if it were a whole log.
+    fn decode_block(block: &[u8]) -> Iter<'_> {
+        Iter {
+            blocks: [].iter(),
+            tail: block,
+            bytes: &[],
+            pos: 0,
+            last: Vec::new(),
+        }
+    }
+
     #[test]
     fn monotone_node_clocks_take_few_bytes() {
         let mut log = EventLog::new();
@@ -712,18 +788,79 @@ mod tests {
         }
         assert_eq!(log.len(), 1000);
         // Tag, node, cycle delta, page, loc/refetch, cycles: a byte each.
-        assert_eq!(log.bytes().len(), 6 * 1000);
+        assert_eq!(log.byte_len(), 6 * 1000);
+    }
+
+    /// A random log spanning at least three blocks.
+    fn multi_block_stream(seed: u64) -> Vec<TimedEvent> {
+        random_stream(seed, 20_000)
+    }
+
+    #[test]
+    fn logs_spanning_many_blocks_round_trip() {
+        let events = multi_block_stream(0xB10C);
+        let log: EventLog = events.iter().copied().collect();
+        assert!(log.blocks().count() >= 3, "{} blocks", log.blocks().count());
+        assert_eq!(log.len(), events.len());
+        assert!(log.iter().eq(events.iter().copied()));
+    }
+
+    #[test]
+    fn no_record_straddles_a_block() {
+        let log: EventLog = multi_block_stream(0x57AD).into_iter().collect();
+        // Every block decodes on its own into whole records (node clocks
+        // restart per block, but record boundaries do not depend on
+        // them), and the blocks' records add up to the log.
+        let mut records = 0;
+        for b in log.blocks() {
+            assert!(b.len() <= BLOCK_BYTES);
+            let n = decode_block(b).count();
+            assert!(n > 0);
+            records += n;
+        }
+        assert_eq!(records, log.len());
+        // The largest possible record fits the bound.
+        let mut max = EventLog::new();
+        max.emit(
+            u64::MAX,
+            Event::TuneApplied {
+                node: NodeId(u16::MAX),
+                window: u64::MAX,
+                inc_from: u32::MAX,
+                inc_to: u32::MAX,
+                period_from: u64::MAX,
+                period_to: u64::MAX,
+                cause: Cause::ALL[Cause::ALL.len() - 1],
+            },
+        );
+        assert!(max.byte_len() <= MAX_RECORD);
+    }
+
+    #[test]
+    fn equality_ignores_block_layout() {
+        let events = multi_block_stream(0xE0);
+        let whole: EventLog = events.iter().copied().collect();
+        // A clone's open block is sealed at its length, so appending to
+        // it seals a block where the original would have kept filling.
+        let (head, rest) = events.split_at(events.len() / 3);
+        let mut split = head.iter().copied().collect::<EventLog>().clone();
+        for te in rest {
+            split.emit(te.cycle, te.event);
+        }
+        let layout = |log: &EventLog| log.blocks().map(<[u8]>::len).collect::<Vec<_>>();
+        assert_ne!(layout(&split), layout(&whole));
+        assert_eq!(split, whole);
+        let mut longer = whole.clone();
+        longer.emit(0, events[0].event);
+        assert_ne!(longer, whole);
     }
 
     #[test]
     fn truncated_bytes_end_the_stream_without_panicking() {
-        let log: EventLog = random_stream(7, 100).into_iter().collect();
-        let cut = &log.bytes()[..log.bytes().len() - 1];
-        let it = Iter {
-            bytes: cut,
-            pos: 0,
-            last: Vec::new(),
-        };
-        assert!(it.count() < log.len());
+        let mut log: EventLog = multi_block_stream(7).into_iter().collect();
+        let whole = log.len();
+        // Cut the final block's last byte.
+        log.cur.pop();
+        assert!(log.iter().count() < whole);
     }
 }
