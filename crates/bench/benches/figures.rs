@@ -6,21 +6,24 @@
 //! Plain timing harness (no criterion — the build is offline); run with
 //! `cargo bench -p ascoma-bench --bench figures`.
 
-use ascoma::experiments::run_cell;
+use ascoma::experiments::{run_cells, Cell};
 use ascoma::{Arch, SimConfig};
 use ascoma_bench::harness::bench;
 use ascoma_workloads::{App, SizeClass};
 use std::hint::black_box;
 
 fn bench_figure(name: &str, apps: &[App]) {
-    let cfg = SimConfig::default();
+    let cfg = SimConfig::at_pressure(0.5);
     for app in apps {
         for arch in [Arch::CcNuma, Arch::Scoma, Arch::AsComa] {
             bench(
                 &format!("{name}/{}/{}", app.name(), arch.name()),
                 5,
                 2,
-                || black_box(run_cell(*app, SizeClass::Tiny, arch, 0.5, black_box(&cfg))),
+                || {
+                    let trace = app.build(SizeClass::Tiny, cfg.geometry.page_bytes());
+                    black_box(run_cells(&[Cell::new(&trace, arch, cfg)], 1, None))
+                },
             );
         }
     }

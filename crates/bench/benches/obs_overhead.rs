@@ -8,7 +8,7 @@
 //! * `log_sink`       — full recording into an `EventLog`, the real cost
 //!   of tracing;
 //! * `stream_off`     — the cell-sweep streaming entry point
-//!   (`run_cells_streamed`) with streaming disabled: must also stay
+//!   (`run_cells`) with streaming disabled: must also stay
 //!   within the 2% budget, so wiring telemetry through the sweep path
 //!   costs nothing when nobody is watching;
 //! * `observed`       — `simulate_measured_streamed`, the path behind
@@ -29,7 +29,7 @@
 //! Plain timing harness (no criterion — the build is offline); run with
 //! `cargo bench -p ascoma-bench --bench obs_overhead`.
 
-use ascoma::experiments::{run_cells_streamed, StreamCell};
+use ascoma::experiments::{run_cells, Cell};
 use ascoma::machine::{simulate, simulate_measured_streamed, simulate_with_sink};
 use ascoma::{Arch, SimConfig};
 use ascoma_obs::{BatchSink, EventLog, NoopSink};
@@ -82,14 +82,9 @@ fn main() {
     };
     // Streaming disabled (`stream: None`): jobs=1 runs inline, so this
     // measures only what the sweep entry point adds around `simulate`.
-    let cells = vec![StreamCell::new(&trace, Arch::AsComa, 0.7)];
+    let cells = vec![Cell::new(&trace, Arch::AsComa, cfg)];
     let mut run_off = || {
-        black_box(run_cells_streamed(
-            black_box(&cells),
-            black_box(&cfg),
-            1,
-            None,
-        ));
+        black_box(run_cells(black_box(&cells), 1, None));
     };
     let mut run_obs = || {
         black_box(simulate_measured_streamed(

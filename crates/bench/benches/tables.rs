@@ -6,7 +6,7 @@
 //! Plain timing harness (no criterion — the build is offline); run with
 //! `cargo bench -p ascoma-bench --bench tables`.
 
-use ascoma::experiments::{run_cell, run_table6};
+use ascoma::experiments::{run_cells, table6_cell, Cell};
 use ascoma::probe::probe_table4;
 use ascoma::{Arch, SimConfig};
 use ascoma_bench::harness::bench;
@@ -16,18 +16,15 @@ use std::hint::black_box;
 
 fn main() {
     let cfg = SimConfig::default();
+    let page_bytes = cfg.geometry.page_bytes();
 
     // Table 1: measured overhead terms need one run per architecture;
     // bench the canonical (em3d, 50%) cell per architecture.
     for arch in [Arch::CcNuma, Arch::Scoma, Arch::AsComa] {
         bench(&format!("table1/{}", arch.name()), 5, 2, || {
-            black_box(run_cell(
-                App::Em3d,
-                SizeClass::Tiny,
-                arch,
-                0.5,
-                black_box(&cfg),
-            ))
+            let trace = App::Em3d.build(SizeClass::Tiny, page_bytes);
+            let cell = Cell::new(&trace, arch, SimConfig::at_pressure(0.5));
+            black_box(run_cells(&[cell], 1, None))
         });
     }
 
@@ -47,7 +44,8 @@ fn main() {
     // Table 6: the R-NUMA relocation census at 10% pressure.
     for app in [App::Radix, App::Fft] {
         bench(&format!("table6/{}", app.name()), 5, 2, || {
-            black_box(run_table6(app, SizeClass::Tiny, black_box(&cfg)))
+            let trace = app.build(SizeClass::Tiny, page_bytes);
+            black_box(run_cells(&[table6_cell(&trace, black_box(&cfg))], 1, None))
         });
     }
 }

@@ -15,8 +15,9 @@
 //! host at any job count.
 
 use crate::report::{esc, EXEC_COLORS, LINE_COLORS};
-use ascoma::experiments::{run_ablation, AblationCell, PAPER_PRESSURES};
-use ascoma::SimConfig;
+use ascoma::experiments::{run_cells, Cell, PAPER_PRESSURES};
+use ascoma::result::RunResult;
+use ascoma::{Arch, SimConfig};
 use ascoma_obs::{ControllerParams, NodeControllerSummary, Phase};
 use ascoma_sim::stats::ExecBreakdown;
 use ascoma_workloads::{App, SizeClass};
@@ -71,12 +72,58 @@ pub fn grid(name: &str) -> Option<AblateGrid> {
     }
 }
 
-/// Run the grid's cells (trace-major, pressure-minor order).
+/// One `(app, pressure)` cell of the ablation: the same AS-COMA run with
+/// the controller off (the paper's static constants) and on (the online
+/// auto-tuner), everything else equal.
+#[derive(Debug, Clone)]
+pub struct AblationCell {
+    /// Application name.
+    pub app: String,
+    /// Memory pressure of both runs.
+    pub pressure: f64,
+    /// The static-constants run (`SimConfig::controller` disabled).
+    pub static_run: RunResult,
+    /// The auto-tuned run (its `controller` summary is `Some`).
+    pub auto_run: RunResult,
+}
+
+impl AblationCell {
+    /// True when auto-tuning did not slow this cell down (ties count:
+    /// a controller that never fires is exactly the static run).
+    pub fn auto_le_static(&self) -> bool {
+        self.auto_run.cycles <= self.static_run.cycles
+    }
+}
+
+/// Run the grid: one static and one auto-tuned AS-COMA cell per
+/// `(app, pressure)`, all in one [`run_cells`] call; results come back
+/// trace-major, pressure-minor, identical at every job count.
 pub fn run_grid(g: &AblateGrid, base: &SimConfig, jobs: usize) -> Vec<AblationCell> {
-    let page_bytes = base.geometry.page_bytes();
-    let traces =
-        ascoma::parallel::run_indexed(g.apps.len(), jobs, |i| g.apps[i].build(g.size, page_bytes));
-    run_ablation(&traces, &g.pressures, base, g.controller, jobs)
+    let traces = crate::build_traces(&g.apps, g.size, base, jobs);
+    let mut cells = Vec::new();
+    for trace in &traces {
+        for &pressure in &g.pressures {
+            for enabled in [false, true] {
+                let mut cfg = *base;
+                cfg.pressure = pressure;
+                cfg.controller = g.controller;
+                cfg.controller.enabled = enabled;
+                cells.push(Cell::new(trace, Arch::AsComa, cfg));
+            }
+        }
+    }
+    let mut runs = run_cells(&cells, jobs, None).into_iter();
+    cells
+        .chunks_exact(2)
+        .filter_map(|legs| {
+            Some(AblationCell {
+                app: legs[0].trace.name.clone(),
+                pressure: legs[0].cfg.pressure,
+                static_run: runs.next()?,
+                auto_run: runs.next()?,
+            })
+        })
+        .collect()
 }
 
 /// The grid-level verdict for ROADMAP item 4.
@@ -118,14 +165,6 @@ impl Verdict {
     }
 }
 
-fn size_tag(size: SizeClass) -> &'static str {
-    match size {
-        SizeClass::Tiny => "tiny",
-        SizeClass::Default => "default",
-        SizeClass::Paper => "paper",
-    }
-}
-
 /// Render the ablation JSON: stable key order, every simulator-derived
 /// leaf integer-exact, wall-clock under the advisory `wall_secs` key.
 /// `wall_secs` is `None` for deterministic fixtures (tests).
@@ -140,7 +179,7 @@ pub fn to_json(g: &AblateGrid, cells: &[AblationCell], wall_secs: Option<f64>) -
          \"cold_enter\":{},\"reclaim_enter\":{},\"backlog_enter\":{},\"confirm\":{},\
          \"inc_min\":{},\"inc_max\":{},\"period_shift_max\":{}}},\"cells\":[",
         g.name,
-        size_tag(g.size),
+        g.size.name(),
         c.window,
         c.ewma_shift,
         c.hot_enter,
@@ -351,7 +390,7 @@ pub fn render_html(g: &AblateGrid, cells: &[AblationCell]) -> String {
          <strong>{verdict}</strong> (ROADMAP item 4).</p>\n",
         t = esc(&title),
         n = cells.len(),
-        s = size_tag(g.size),
+        s = g.size.name(),
         aw = v.auto_wins,
         ti = v.ties,
         sw = v.static_wins,

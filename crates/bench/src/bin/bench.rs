@@ -1,7 +1,12 @@
-//! Metrics front-end: render an HTML run report, compare two baseline
-//! JSON files for regressions, or watch a sweep live.
+//! The one front end: run any registered experiment (every table, figure
+//! and ablation; see `ascoma_bench::experiments`), render an HTML run
+//! report, compare two baseline JSON files for regressions, or watch a
+//! sweep live.
 //!
 //! ```text
+//! cargo run --release -p ascoma-bench --bin bench -- table1 \
+//!     --app em3d --pressure 0.1,0.5,0.9
+//! cargo run --release -p ascoma-bench --bin bench -- figures --csv
 //! cargo run --release -p ascoma-bench --bin bench -- report \
 //!     --app em3d --arch ascoma --pressure 0.7 --out report.html
 //! cargo run --release -p ascoma-bench --bin bench -- diff \
@@ -12,32 +17,30 @@
 //!     --tail run.ndjson
 //! ```
 //!
-//! `diff` exits 0 when every deterministic leaf matches, 1 on any
-//! regression (see `ascoma_bench::diff` for the classification), 2 on
-//! usage errors.  `watch` renders a live ANSI dashboard (per-cell grid
+//! An experiment prints its output and exits 0 (`validate_claims`: 1
+//! when a claim fails); a flag it does not honour exits 2.  `diff`
+//! exits 0 when every deterministic leaf matches, 1 on any regression
+//! (see `ascoma_bench::diff` for the classification), 2 on usage
+//! errors.  `watch` renders a live ANSI dashboard (per-cell grid
 //! progress, free-pool/refetch sparklines, miss percentiles, ETA) for a
 //! sweep run in-process, or tails an NDJSON stream written by another
 //! process via `--stream`; it degrades to plain line-mode when stdout is
 //! not a tty or `TERM=dumb`.
 
-use ascoma::experiments::{figure_stream_cells, run_cells_streamed, StreamSpec};
+use ascoma::experiments::{figure_grid, run_cells, StreamSpec};
 use ascoma::machine::simulate_measured;
 use ascoma::{Arch, SimConfig};
 use ascoma_bench::diff::{diff, Severity};
+use ascoma_bench::experiments::{self, REGISTRY, SWEEP};
 use ascoma_bench::report::render_html;
 use ascoma_bench::watch::{line_for, render, WatchState};
-use ascoma_bench::{build_traces, pacing, Options};
+use ascoma_bench::{build_traces, die, jobs, num, pacing, pressure, text, usage, value, Options};
 use ascoma_obs::json;
 use ascoma_obs::metrics::DEFAULT_WINDOW;
 use ascoma_obs::{parse_stream_line, StreamEvent};
 use ascoma_workloads::{App, SizeClass};
 use std::io::{IsTerminal, Read, Write};
 use std::sync::mpsc;
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -48,20 +51,35 @@ fn main() {
         Some("watch") => watch_cmd(&args[1..]),
         Some("ablate") => ablate_cmd(&args[1..]),
         Some("--help") | Some("-h") | None => {
-            eprintln!(
-                "usage: bench report [options]   render an HTML report of one measured run\n\
-                 \x20      bench soak-report [FILE] render the fault-soak summary \
-                 (default results/FAULT_soak.json)\n\
-                 \x20      bench diff OLD NEW       compare two baseline JSON files\n\
-                 \x20      bench watch [options]    live dashboard for a sweep (see watch --help)\n\
-                 \x20      bench ablate [options]   auto-tuned vs. static back-off constants \
-                 (see ablate --help)\n\
-                 run `bench report --help` / `bench watch --help` / `bench ablate --help` \
-                 for options"
-            );
+            let mut help = String::from("usage: bench <experiment> [options]\n\nexperiments:\n");
+            for e in REGISTRY {
+                help += &format!("  {:<23} {}\n", e.name, e.about);
+            }
+            help += "\ntools:\n\
+                \x20 report [options]        render an HTML report of one measured run\n\
+                \x20 soak-report [FILE]      render the fault-soak summary \
+                (default results/FAULT_soak.json)\n\
+                \x20 diff OLD NEW            compare two baseline JSON files\n\
+                \x20 watch [options]         live dashboard for a sweep\n\
+                \x20 ablate [options]        auto-tuned vs. static back-off constants\n\
+                \nrun `bench <name> --help` for a subcommand's options";
+            eprintln!("{help}");
             std::process::exit(if args.is_empty() { 2 } else { 0 });
         }
-        Some(other) => die(&format!("unknown subcommand '{other}'")),
+        Some(name) => {
+            let e = experiments::find(name)
+                .unwrap_or_else(|| die(&format!("unknown subcommand '{name}'")));
+            if args[1..].iter().any(|a| a == "--help" || a == "-h") {
+                let name = format!("bench {}", e.name);
+                eprint!("{name}: {}\n{}", e.about, usage(&name, e.flags));
+                std::process::exit(0);
+            }
+            let opts = Options::parse(e.flags, args[1..].iter().cloned())
+                .unwrap_or_else(|err| die(&format!("{}: {err}", e.name)));
+            let (out, code) = (e.run)(&opts);
+            let _ = std::io::stdout().lock().write_all(out.as_bytes());
+            std::process::exit(code);
+        }
     }
 }
 
@@ -70,16 +88,10 @@ fn main() {
 fn soak_report_cmd(args: &[String]) {
     let mut input = String::from("results/FAULT_soak.json");
     let mut out: Option<String> = None;
-    let mut it = args.iter();
+    let mut it = args.iter().cloned();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--out" => {
-                out = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--out needs a value"))
-                        .clone(),
-                );
-            }
+            "--out" => out = Some(value(&mut it, &a, text)),
             "--help" | "-h" => {
                 eprintln!(
                     "bench soak-report [FILE]: render the fault-soak summary JSON as HTML\n\
@@ -130,46 +142,16 @@ fn report_cmd(args: &[String]) {
         hot: 20,
         out: None,
     };
-    let mut it = args.iter();
+    let mut it = args.iter().cloned();
     while let Some(a) = it.next() {
-        let mut val = || {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{a} needs a value")))
-                .clone()
-        };
         match a.as_str() {
-            "--app" => {
-                let v = val();
-                o.app = App::parse(&v).unwrap_or_else(|| die(&format!("unknown app '{v}'")));
-            }
-            "--size" => {
-                o.size = match val().as_str() {
-                    "tiny" => SizeClass::Tiny,
-                    "default" => SizeClass::Default,
-                    "paper" => SizeClass::Paper,
-                    v => die(&format!("unknown size '{v}'")),
-                };
-            }
-            "--arch" => {
-                let v = val();
-                o.arch = Arch::parse(&v).unwrap_or_else(|| die(&format!("unknown arch '{v}'")));
-            }
-            "--pressure" => {
-                o.pressure = val()
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|p| *p > 0.0 && *p <= 1.0)
-                    .unwrap_or_else(|| die("bad --pressure (want a value in (0, 1])"));
-            }
-            "--window" => {
-                o.window = val()
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --window (cycles; 0 disables series)"));
-            }
-            "--hot" => {
-                o.hot = val().parse().unwrap_or_else(|_| die("bad --hot (rows)"));
-            }
-            "--out" => o.out = Some(val()),
+            "--app" => o.app = value(&mut it, &a, App::parse),
+            "--size" => o.size = value(&mut it, &a, SizeClass::parse),
+            "--arch" => o.arch = value(&mut it, &a, Arch::parse),
+            "--pressure" => o.pressure = value(&mut it, &a, pressure),
+            "--window" => o.window = value(&mut it, &a, num),
+            "--hot" => o.hot = value(&mut it, &a, num),
+            "--out" => o.out = Some(value(&mut it, &a, text)),
             "--help" | "-h" => {
                 eprintln!(
                     "bench report: run one measured simulation and render an HTML report\n\
@@ -212,29 +194,16 @@ fn report_cmd(args: &[String]) {
 /// write the deterministic JSON (and optionally the HTML report).
 fn ablate_cmd(args: &[String]) {
     let mut grid_name = String::from("reduced");
-    let mut jobs: Option<usize> = None;
+    let mut workers: Option<usize> = None;
     let mut json_out: Option<String> = None;
     let mut html_out: Option<String> = None;
-    let mut it = args.iter();
+    let mut it = args.iter().cloned();
     while let Some(a) = it.next() {
-        let mut val = || {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{a} needs a value")))
-                .clone()
-        };
         match a.as_str() {
-            "--grid" => grid_name = val(),
-            "--jobs" | "-j" => {
-                jobs = Some(
-                    val()
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .unwrap_or_else(|| die("bad --jobs (want an integer >= 1)")),
-                );
-            }
-            "--json" => json_out = Some(val()),
-            "--out" => html_out = Some(val()),
+            "--grid" => grid_name = value(&mut it, &a, text),
+            "--jobs" | "-j" => workers = Some(value(&mut it, &a, jobs)),
+            "--json" => json_out = Some(value(&mut it, &a, text)),
+            "--out" => html_out = Some(value(&mut it, &a, text)),
             "--help" | "-h" => {
                 eprintln!(
                     "bench ablate: sweep AS-COMA with the back-off auto-tuner on vs. the\n\
@@ -255,7 +224,7 @@ fn ablate_cmd(args: &[String]) {
     let g = ascoma_bench::ablate::grid(&grid_name)
         .unwrap_or_else(|| die(&format!("unknown grid '{grid_name}' (want reduced|full)")));
     let base = SimConfig::default();
-    let jobs = ascoma::parallel::effective_jobs(jobs);
+    let jobs = ascoma::parallel::effective_jobs(workers);
     let clock = pacing::Clock::start();
     let cells = ascoma_bench::ablate::run_grid(&g, &base, jobs);
     let wall = clock.elapsed_secs();
@@ -326,49 +295,31 @@ fn watch_opts(args: &[String]) -> WatchOpts {
         cadence: 200_000,
         window: DEFAULT_WINDOW,
         stream: None,
-        sweep: Options::default(),
+        sweep: Options::defaults(SWEEP),
     };
     let mut rest: Vec<String> = Vec::new();
-    let mut it = args.iter();
+    let mut it = args.iter().cloned();
     while let Some(a) = it.next() {
-        let mut val = || {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{a} needs a value")))
-                .clone()
-        };
         match a.as_str() {
-            "--tail" => o.tail = Some(val()),
+            "--tail" => o.tail = Some(value(&mut it, &a, text)),
             "--once" => o.once = true,
             // --no-color is an alias for --plain: the same degradation
             // path the TERM=dumb autodetection takes.
             "--plain" | "--no-color" => o.plain = true,
             "--fps" => {
-                o.fps = val()
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|f| *f > 0.0 && *f <= 60.0)
-                    .unwrap_or_else(|| die("bad --fps (frames/sec in (0, 60])"));
+                let fps = |v: &str| num(v).filter(|f: &f64| *f > 0.0 && *f <= 60.0);
+                o.fps = value(&mut it, &a, fps);
             }
-            "--cadence" => {
-                o.cadence = val()
-                    .parse()
-                    .ok()
-                    .filter(|c| *c > 0)
-                    .unwrap_or_else(|| die("bad --cadence (snapshot period, cycles, > 0)"));
-            }
-            "--window" => {
-                o.window = val()
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --window (series window, cycles; 0 disables)"));
-            }
-            "--stream" => o.stream = Some(val()),
+            "--cadence" => o.cadence = value(&mut it, &a, |v| num(v).filter(|c| *c > 0)),
+            "--window" => o.window = value(&mut it, &a, num),
+            "--stream" => o.stream = Some(value(&mut it, &a, text)),
             "--help" | "-h" => {
                 eprintln!(
                     "bench watch: live dashboard for a sweep\n\
                      \n\
                      attached mode (default): run the figure grid in-process and watch it\n\
                      \x20 --app a,b --pressure p,.. --size tiny|default|paper --jobs N\n\
-                     \x20                 sweep selection (as the figures binary)\n\
+                     \x20                 sweep selection (as `bench figures`)\n\
                      \x20 --cadence N     snapshot period, simulated cycles (default 200000)\n\
                      \x20 --window N      registry series window, cycles (default {DEFAULT_WINDOW})\n\
                      \x20 --stream FILE   also append the NDJSON feed to FILE ('-' = stdout,\n\
@@ -385,10 +336,10 @@ fn watch_opts(args: &[String]) -> WatchOpts {
                 );
                 std::process::exit(0);
             }
-            other => rest.push(other.to_string()),
+            _ => rest.push(a),
         }
     }
-    o.sweep = Options::parse(rest.into_iter());
+    o.sweep = Options::parse(SWEEP, rest).unwrap_or_else(|e| die(&format!("watch: {e}")));
     if !std::io::stdout().is_terminal()
         || std::env::var("TERM").map(|t| t == "dumb").unwrap_or(false)
     {
@@ -498,15 +449,15 @@ fn watch_attached(o: &WatchOpts) {
     if !o.plain {
         eprintln!("building traces...");
     }
-    let traces = build_traces(&o.sweep, &base);
-    let cells = figure_stream_cells(&traces, &o.sweep.pressures, &base);
     let jobs = o.sweep.jobs();
+    let traces = build_traces(&o.sweep.apps, o.sweep.size, &base, jobs);
+    let cells = figure_grid(&traces, &o.sweep.pressures, &base);
     let (tx, rx) = mpsc::channel();
     let spec = StreamSpec::new(tx, o.cadence, o.window);
     let mut viewer = Viewer::new("live sweep", o);
     std::thread::scope(|s| {
         s.spawn(|| {
-            let _ = run_cells_streamed(&cells, &base, jobs, Some(&spec));
+            let _ = run_cells(&cells, jobs, Some(&spec));
         });
         loop {
             match rx.recv_timeout(std::time::Duration::from_millis(50)) {

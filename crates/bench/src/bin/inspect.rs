@@ -20,7 +20,7 @@
 
 use ascoma::machine::simulate_traced;
 use ascoma::{Arch, SimConfig};
-use ascoma_bench::Options;
+use ascoma_bench::{die, num, pressure, text, usage, value, Flag, Options};
 use ascoma_obs::export::{chrome_trace, jsonl};
 use ascoma_obs::{summarize_lossy, EventLog};
 use ascoma_workloads::analyze::profile;
@@ -35,7 +35,13 @@ fn main() {
         trace_cmd(&args[1..]);
         return;
     }
-    let opts = Options::parse(args.into_iter());
+    let flags = [Flag::Apps(&App::ALL), Flag::Size(SizeClass::Default)];
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        eprint!("{}", usage("inspect", &flags));
+        eprintln!("   or: inspect trace [options]  (see `inspect trace --help`)");
+        return;
+    }
+    let opts = Options::parse(&flags, args).unwrap_or_else(|e| die(&e));
     let cfg = SimConfig::default();
     let pb = cfg.geometry.page_bytes();
     for app in &opts.apps {
@@ -64,14 +70,11 @@ struct TraceOpts {
     app: App,
     size: SizeClass,
     arch: Arch,
-    pressure: f64,
+    /// The run's configuration, with the pressure and policy overrides.
+    cfg: SimConfig,
     out: Option<String>,
     jsonl: bool,
     summary: bool,
-    sample_period: u64,
-    daemon_period: Option<u64>,
-    threshold: Option<u32>,
-    increment: Option<u32>,
 }
 
 impl TraceOpts {
@@ -80,67 +83,28 @@ impl TraceOpts {
             app: App::Em3d,
             size: SizeClass::Tiny,
             arch: Arch::AsComa,
-            pressure: 0.7,
+            cfg: SimConfig {
+                obs_sample_period: 20_000,
+                ..SimConfig::at_pressure(0.7)
+            },
             out: None,
             jsonl: false,
             summary: false,
-            sample_period: 20_000,
-            daemon_period: None,
-            threshold: None,
-            increment: None,
         };
-        let mut it = args.iter();
+        let mut it = args.iter().cloned();
         while let Some(a) = it.next() {
-            let mut val = || {
-                it.next()
-                    .unwrap_or_else(|| die(&format!("{a} needs a value")))
-                    .clone()
-            };
             match a.as_str() {
-                "--app" => {
-                    let v = val();
-                    o.app = App::parse(&v).unwrap_or_else(|| die(&format!("unknown app '{v}'")));
-                }
-                "--size" => {
-                    o.size = match val().as_str() {
-                        "tiny" => SizeClass::Tiny,
-                        "default" => SizeClass::Default,
-                        "paper" => SizeClass::Paper,
-                        v => die(&format!("unknown size '{v}'")),
-                    };
-                }
-                "--arch" => {
-                    let v = val();
-                    o.arch = Arch::parse(&v).unwrap_or_else(|| die(&format!("unknown arch '{v}'")));
-                }
-                "--pressure" => {
-                    o.pressure = val()
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|p| *p > 0.0 && *p <= 1.0)
-                        .unwrap_or_else(|| die("bad --pressure (want a value in (0, 1])"));
-                }
-                "--out" => o.out = Some(val()),
+                "--app" => o.app = value(&mut it, &a, App::parse),
+                "--size" => o.size = value(&mut it, &a, SizeClass::parse),
+                "--arch" => o.arch = value(&mut it, &a, Arch::parse),
+                "--pressure" => o.cfg.pressure = value(&mut it, &a, pressure),
+                "--out" => o.out = Some(value(&mut it, &a, text)),
                 "--jsonl" => o.jsonl = true,
                 "--summary" => o.summary = true,
-                "--sample-period" => {
-                    o.sample_period = val()
-                        .parse()
-                        .unwrap_or_else(|_| die("bad --sample-period (cycles)"));
-                }
-                "--daemon-period" => {
-                    o.daemon_period = Some(
-                        val()
-                            .parse()
-                            .unwrap_or_else(|_| die("bad --daemon-period (cycles)")),
-                    );
-                }
-                "--threshold" => {
-                    o.threshold = Some(val().parse().unwrap_or_else(|_| die("bad --threshold")));
-                }
-                "--increment" => {
-                    o.increment = Some(val().parse().unwrap_or_else(|_| die("bad --increment")));
-                }
+                "--sample-period" => o.cfg.obs_sample_period = value(&mut it, &a, num),
+                "--daemon-period" => o.cfg.kernel.daemon_period = value(&mut it, &a, num),
+                "--threshold" => o.cfg.policy.initial_threshold = value(&mut it, &a, num),
+                "--increment" => o.cfg.policy.threshold_increment = value(&mut it, &a, num),
                 "--help" | "-h" => {
                     eprintln!(
                         "inspect trace: run one instrumented simulation and export the trace\n\
@@ -167,29 +131,13 @@ impl TraceOpts {
     }
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
 fn trace_cmd(args: &[String]) {
     let o = TraceOpts::parse(args);
-    let mut cfg = SimConfig::at_pressure(o.pressure);
-    cfg.obs_sample_period = o.sample_period;
-    if let Some(p) = o.daemon_period {
-        cfg.kernel.daemon_period = p;
-    }
-    if let Some(t) = o.threshold {
-        cfg.policy.initial_threshold = t;
-    }
-    if let Some(i) = o.increment {
-        cfg.policy.threshold_increment = i;
-    }
-    let trace = o.app.build(o.size, cfg.geometry.page_bytes());
-    let (result, events) = simulate_traced(&trace, o.arch, &cfg);
+    let trace = o.app.build(o.size, o.cfg.geometry.page_bytes());
+    let (result, events) = simulate_traced(&trace, o.arch, &o.cfg);
 
     if o.summary {
-        print_summary(&trace.name, o.arch, o.pressure, &events, trace.nodes);
+        print_summary(&trace.name, o.arch, o.cfg.pressure, &events, trace.nodes);
         return;
     }
 

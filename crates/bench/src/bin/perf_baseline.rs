@@ -19,12 +19,13 @@
 //! - `--progress` — print one line per completed cell with wall-clock
 //!   and ETA (markers-only streaming, so measured timings stay honest).
 
-use ascoma::experiments::{figure_cells, figure_stream_cells, run_cells_streamed, StreamSpec};
-use ascoma::parallel::{effective_jobs, run_indexed};
+use ascoma::experiments::{figure_cells, figure_grid, run_cells, Cell, StreamSpec};
+use ascoma::parallel::effective_jobs;
 use ascoma::result::RunResult;
-use ascoma::{simulate, SimConfig};
+use ascoma::SimConfig;
 use ascoma_bench::pacing::Clock;
 use ascoma_bench::watch::{line_for, WatchState};
+use ascoma_bench::{die, jobs, text, value};
 use ascoma_obs::StreamEvent;
 use ascoma_workloads::trace::Trace;
 use ascoma_workloads::{App, SizeClass};
@@ -52,22 +53,12 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--grid" => {
-                args.grid = it.next().unwrap_or_else(|| die("--grid needs a value"));
-                if args.grid != "full" && args.grid != "reduced" {
-                    die(&format!("unknown grid '{}'", args.grid));
-                }
+                let grid = |v: &str| ["full", "reduced"].contains(&v).then(|| v.to_string());
+                args.grid = value(&mut it, &a, grid);
             }
-            "--jobs" | "-j" => {
-                let v = it.next().unwrap_or_else(|| die("--jobs needs a value"));
-                args.jobs = Some(
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .unwrap_or_else(|| die(&format!("bad job count '{v}'"))),
-                );
-            }
+            "--jobs" | "-j" => args.jobs = Some(value(&mut it, &a, jobs)),
             "--check" => args.check = true,
-            "--out" => args.out = it.next().unwrap_or_else(|| die("--out needs a value")),
+            "--out" => args.out = value(&mut it, &a, text),
             "--progress" => args.progress = true,
             "--help" | "-h" => {
                 eprintln!("options: --grid full|reduced --jobs N --check --out PATH --progress");
@@ -79,48 +70,21 @@ fn parse_args() -> Args {
     args
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-/// Run every `(app, arch, pressure)` cell of the grid across `jobs`
-/// workers, apps in order, each app's cells in canonical figure order.
-fn run_grid(
-    traces: &[Trace],
-    cells: &[(ascoma::Arch, f64)],
-    base: &SimConfig,
-    jobs: usize,
-) -> Vec<RunResult> {
-    run_indexed(traces.len() * cells.len(), jobs, |i| {
-        let trace = &traces[i / cells.len()];
-        let (arch, p) = cells[i % cells.len()];
-        let cfg = SimConfig {
-            pressure: p,
-            ..*base
-        };
-        simulate(trace, arch, &cfg)
-    })
-}
-
-/// [`run_grid`] with live progress: one stderr line per cell start and
-/// finish, with wall-clock elapsed and a deterministic-input ETA.
+/// Run the grid's cells across `jobs` workers; with `progress`, print
+/// one stderr line per cell start and finish, with wall-clock elapsed and
+/// a deterministic-input ETA.
 ///
-/// Uses markers-only streaming (cadence 0), so every cell still runs
-/// the uninstrumented [`simulate`] path and the measured timings stay
+/// Progress uses markers-only streaming (cadence 0), so every cell still
+/// runs the uninstrumented `simulate` path and the measured timings stay
 /// honest; the consumer prints from this thread while workers simulate.
-fn run_grid_progress(
-    traces: &[Trace],
-    pressures: &[f64],
-    base: &SimConfig,
-    jobs: usize,
-    phase: &str,
-) -> Vec<RunResult> {
-    let cells = figure_stream_cells(traces, pressures, base);
+fn run_grid(cells: &[Cell<'_>], jobs: usize, progress: bool, phase: &str) -> Vec<RunResult> {
+    if !progress {
+        return run_cells(cells, jobs, None);
+    }
     let (tx, rx) = mpsc::channel();
     let spec = StreamSpec::new(tx, 0, 0);
     std::thread::scope(|s| {
-        let worker = s.spawn(|| run_cells_streamed(&cells, base, jobs, Some(&spec)));
+        let worker = s.spawn(|| run_cells(cells, jobs, Some(&spec)));
         let mut st = WatchState::new(phase);
         let clock = Clock::start();
         while let Ok(ev) = rx.recv() {
@@ -157,14 +121,13 @@ fn main() {
     };
     let jobs = effective_jobs(args.jobs);
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let cells = figure_cells(&pressures, base.pressure);
-    let ncells = apps.len() * cells.len();
+    let per_app = figure_cells(&pressures, base.pressure).len();
+    let ncells = apps.len() * per_app;
 
     eprintln!(
-        "perf_baseline: grid={} ({} apps x {} cells = {ncells}), jobs={jobs}, host cores={host_cores}",
+        "perf_baseline: grid={} ({} apps x {per_app} cells = {ncells}), jobs={jobs}, host cores={host_cores}",
         args.grid,
         apps.len(),
-        cells.len()
     );
 
     let t0 = Instant::now();
@@ -173,17 +136,12 @@ fn main() {
         .map(|a| a.build(size, base.geometry.page_bytes()))
         .collect();
     let build_secs = t0.elapsed().as_secs_f64();
+    let cells = figure_grid(&traces, &pressures, &base);
 
     // `--progress` streams markers only: same uninstrumented simulate
     // path per cell, so both variants produce identical results and
     // comparable timings (one consumer thread printing aside).
-    let run = |jobs: usize, phase: &str| {
-        if args.progress {
-            run_grid_progress(&traces, &pressures, &base, jobs, phase)
-        } else {
-            run_grid(&traces, &cells, &base, jobs)
-        }
-    };
+    let run = |jobs: usize, phase: &str| run_grid(&cells, jobs, args.progress, phase);
 
     let t1 = Instant::now();
     let serial = run(1, "serial grid");

@@ -2,7 +2,7 @@
 //!
 //! The paper presents each application as a pair of stacked-bar charts;
 //! [`exec_chart`] and [`miss_chart`] render the same stacks as horizontal
-//! ASCII bars so `--bin figures --chart` output *looks* like Figures 2–3:
+//! ASCII bars so `bench figures --chart` output *looks* like Figures 2–3:
 //!
 //! ```text
 //! SCOMA    90% |■■■■■■■■■■■■▒▒▒▒▒░░·| 8.03
@@ -143,12 +143,11 @@ pub fn miss_chart(data: &FigureData) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimConfig;
-    use crate::experiments::run_figure;
-    use ascoma_workloads::{App, SizeClass};
+    use crate::experiments::tiny_figure;
+    use ascoma_workloads::App;
 
     fn data() -> FigureData {
-        run_figure(App::Ocean, SizeClass::Tiny, &[0.5], &SimConfig::default())
+        tiny_figure(App::Ocean, &[0.5])
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //!          result.cycles, result.miss.remote());
 //! ```
 //!
+//! An experiment is a list of [`Cell`]s — trace, architecture, whole
+//! [`SimConfig`] — run once by [`run_cells`] across worker threads, with
+//! results in cell order (see [`experiments`]).
+//!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every table and figure.
 
@@ -39,10 +43,9 @@ pub mod presets;
 pub mod probe;
 pub mod report;
 pub mod result;
-pub mod sweep;
 
 pub use config::{Arch, PolicyParams, SimConfig};
-pub use experiments::{figure_stream_cells, run_cells_streamed, StreamCell, StreamSpec};
+pub use experiments::{figure_grid, run_cells, Cell, StreamSpec};
 pub use machine::{
     simulate, simulate_measured_streamed, simulate_streamed, simulate_traced, simulate_with_sink,
     Machine,

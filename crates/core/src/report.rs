@@ -5,7 +5,7 @@
 //! same data can be emitted as CSV for plotting.
 
 use crate::config::SimConfig;
-use crate::experiments::{FigureData, Table6Row};
+use crate::experiments::FigureData;
 use crate::probe::Table4Probe;
 use crate::result::RunResult;
 use ascoma_sim::stats::{ExecBreakdown, MissBreakdown};
@@ -177,8 +177,9 @@ pub fn table5(profiles: &[WorkloadProfile]) -> String {
     s
 }
 
-/// Table 6: remote pages ever accessed vs. conflicted frequently.
-pub fn table6(rows: &[Table6Row]) -> String {
+/// Table 6: remote pages ever accessed vs. conflicted frequently, one
+/// `(app, run of its experiments::table6_cell)` row each.
+pub fn table6(rows: &[(&str, &RunResult)]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -189,14 +190,14 @@ pub fn table6(rows: &[Table6Row]) -> String {
         "{:<8} {:>18} {:>16} {:>12}",
         "Program", "total remote", "relocated", "% relocated"
     );
-    for r in rows {
+    for (app, r) in rows {
         let _ = writeln!(
             s,
             "{:<8} {:>18} {:>16} {:>11.1}%",
-            r.app,
-            r.total_remote,
-            r.relocated,
-            r.fraction * 100.0
+            app,
+            r.remote_page_node_pairs,
+            r.relocated_page_node_pairs,
+            r.relocated_fraction() * 100.0
         );
     }
     s
@@ -347,9 +348,9 @@ pub fn summary_line(r: &RunResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Arch, SimConfig};
-    use crate::experiments::run_figure;
-    use ascoma_workloads::{App, SizeClass};
+    use crate::config::Arch;
+    use crate::experiments::tiny_figure;
+    use ascoma_workloads::App;
 
     #[test]
     fn tables_render_nonempty() {
@@ -363,7 +364,7 @@ mod tests {
 
     #[test]
     fn figure_renders_all_bars() {
-        let data = run_figure(App::Ocean, SizeClass::Tiny, &[0.5], &SimConfig::default());
+        let data = tiny_figure(App::Ocean, &[0.5]);
         let text = figure(&data);
         for a in Arch::ALL {
             assert!(text.contains(a.name()), "missing {}", a.name());
@@ -375,7 +376,7 @@ mod tests {
 
     #[test]
     fn table1_lists_runs() {
-        let data = run_figure(App::Ocean, SizeClass::Tiny, &[0.5], &SimConfig::default());
+        let data = tiny_figure(App::Ocean, &[0.5]);
         let runs: Vec<_> = data.bars.iter().map(|b| b.run.clone()).collect();
         let t = table1(&runs);
         assert!(t.contains("N_pagecache"));
@@ -384,7 +385,7 @@ mod tests {
 
     #[test]
     fn proto_table_lists_transactions() {
-        let data = run_figure(App::Ocean, SizeClass::Tiny, &[0.5], &SimConfig::default());
+        let data = tiny_figure(App::Ocean, &[0.5]);
         let runs: Vec<_> = data.bars.iter().map(|b| b.run.clone()).collect();
         let t = proto_table(&runs);
         assert!(t.contains("2-hop"));
@@ -393,7 +394,7 @@ mod tests {
 
     #[test]
     fn summary_line_mentions_arch() {
-        let data = run_figure(App::Ocean, SizeClass::Tiny, &[0.5], &SimConfig::default());
+        let data = tiny_figure(App::Ocean, &[0.5]);
         let line = summary_line(&data.baseline);
         assert!(line.contains("CCNUMA"));
     }

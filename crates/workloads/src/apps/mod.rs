@@ -100,6 +100,25 @@ pub enum SizeClass {
     Paper,
 }
 
+impl SizeClass {
+    /// Every size class, smallest first.
+    pub const ALL: [SizeClass; 3] = [SizeClass::Tiny, SizeClass::Default, SizeClass::Paper];
+
+    /// Command-line name.
+    pub fn name(self) -> &'static str {
+        match self {
+            SizeClass::Tiny => "tiny",
+            SizeClass::Default => "default",
+            SizeClass::Paper => "paper",
+        }
+    }
+
+    /// Parse a name (as printed by [`SizeClass::name`]).
+    pub fn parse(s: &str) -> Option<SizeClass> {
+        SizeClass::ALL.iter().copied().find(|c| c.name() == s)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,6 +139,15 @@ mod tests {
             assert_eq!(App::parse(app.name()), Some(app));
         }
         assert_eq!(App::parse("nope"), None);
+    }
+
+    #[test]
+    fn size_class_parse_roundtrip() {
+        for size in SizeClass::ALL {
+            assert_eq!(SizeClass::parse(size.name()), Some(size));
+        }
+        assert_eq!(SizeClass::parse("huge"), None);
+        assert_eq!(SizeClass::parse("Tiny"), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! cargo run --release --example memory_pressure_sweep -- barnes
 //! ```
 
-use ascoma::experiments::{run_figure_on, PAPER_PRESSURES};
+use ascoma::experiments::{assemble_figure, figure_grid, run_cells, PAPER_PRESSURES};
 use ascoma::{report, SimConfig};
 use ascoma_workloads::{App, SizeClass};
 
@@ -17,8 +17,9 @@ fn main() {
         .map(|s| App::parse(&s).unwrap_or_else(|| panic!("unknown app '{s}'")))
         .unwrap_or(App::Radix);
     let cfg = SimConfig::default();
-    let trace = app.build(SizeClass::Default, cfg.geometry.page_bytes());
-    let data = run_figure_on(&trace, &PAPER_PRESSURES, &cfg);
+    let traces = [app.build(SizeClass::Default, cfg.geometry.page_bytes())];
+    let cells = figure_grid(&traces, &PAPER_PRESSURES, &cfg);
+    let data = assemble_figure(app.name(), run_cells(&cells, 1, None));
     print!("{}", report::figure(&data));
 
     // Pull out the paper's headline comparison: AS-COMA vs the other

@@ -2,7 +2,7 @@
 //! closed control loop must be deterministic across job counts, inert
 //! when disabled, and replayable from its exported event stream.
 
-use ascoma::experiments::{run_ablation, run_figure_on_jobs};
+use ascoma::experiments::{figure_grid, run_cells, Cell};
 use ascoma::machine::{simulate, simulate_measured, simulate_traced};
 use ascoma::{Arch, SimConfig};
 use ascoma_obs::{export, replay_tunes, ControllerParams};
@@ -22,21 +22,18 @@ fn auto_cfg(pressure: f64) -> SimConfig {
 #[test]
 fn controller_on_results_are_identical_across_job_counts() {
     let base = auto_cfg(0.9);
-    let trace = App::Em3d.build(SizeClass::Tiny, base.geometry.page_bytes());
-    let pressures = [0.5, 0.9];
-    let serial = run_figure_on_jobs(&trace, &pressures, &base, 1);
+    let traces = [App::Em3d.build(SizeClass::Tiny, base.geometry.page_bytes())];
+    let cells = figure_grid(&traces, &[0.5, 0.9], &base);
+    let serial = run_cells(&cells, 1, None);
     assert!(
-        serial.bars.iter().any(|b| b.run.controller.is_some()),
+        serial.iter().any(|r| r.controller.is_some()),
         "controller-on bars must carry a summary"
     );
     for jobs in [3, 4] {
-        let parallel = run_figure_on_jobs(&trace, &pressures, &base, jobs);
-        assert_eq!(serial.bars.len(), parallel.bars.len());
-        for (a, b) in serial.bars.iter().zip(&parallel.bars) {
-            // RunResult derives PartialEq over every field, including
-            // the controller summary and its knob trajectories.
-            assert_eq!(a.run, b.run, "jobs={jobs} drifted from serial");
-        }
+        // RunResult derives PartialEq over every field, including the
+        // controller summary and its knob trajectories.
+        let parallel = run_cells(&cells, jobs, None);
+        assert_eq!(serial, parallel, "jobs={jobs} drifted from serial");
     }
 }
 
@@ -87,18 +84,22 @@ fn disabled_controller_with_tuned_constants_is_inert() {
 
 #[test]
 fn ablation_auto_leg_never_loses_its_summary() {
-    let base = SimConfig::default();
-    let traces = vec![App::Em3d.build(SizeClass::Tiny, base.geometry.page_bytes())];
-    let ctl = ControllerParams {
-        window: 50_000,
-        ..ControllerParams::enabled()
-    };
+    // The static/auto leg pairs `bench ablate` builds, per pressure.
+    let trace = App::Em3d.build(SizeClass::Tiny, auto_cfg(0.7).geometry.page_bytes());
+    let mut cells = Vec::new();
+    for pressure in [0.7, 0.9] {
+        for enabled in [false, true] {
+            let mut cfg = auto_cfg(pressure);
+            cfg.controller.enabled = enabled;
+            cells.push(Cell::new(&trace, Arch::AsComa, cfg));
+        }
+    }
     for jobs in [1, 3, 4] {
-        let cells = run_ablation(&traces, &[0.7, 0.9], &base, ctl, jobs);
-        assert_eq!(cells.len(), 2);
-        for c in &cells {
-            assert!(c.static_run.controller.is_none());
-            let s = c.auto_run.controller.as_ref().expect("summary");
+        let runs = run_cells(&cells, jobs, None);
+        assert_eq!(runs.len(), 4);
+        for pair in runs.chunks_exact(2) {
+            assert!(pair[0].controller.is_none());
+            let s = pair[1].controller.as_ref().expect("summary");
             assert_eq!(s.window, 50_000);
         }
     }

@@ -3,10 +3,9 @@
 //! the serial path — including threshold trajectories and observability
 //! digests — for every `(app, arch, pressure)` cell.
 
-use ascoma::experiments::{run_figure_on, run_figure_on_jobs};
+use ascoma::experiments::{assemble_figure, figure_grid, run_cells, Cell};
 use ascoma::machine::simulate_traced;
 use ascoma::parallel::run_indexed;
-use ascoma::sweep::Sweep;
 use ascoma::{Arch, SimConfig};
 use ascoma_workloads::{App, SizeClass};
 
@@ -14,37 +13,29 @@ const APPS: [App; 2] = [App::Em3d, App::Radix];
 const ARCHS: [Arch; 2] = [Arch::AsComa, Arch::RNuma];
 const PRESSURES: [f64; 2] = [0.1, 0.9];
 
+/// Every `(arch, pressure)` cell of `ARCHS x PRESSURES` over `trace`.
+fn grid(trace: &ascoma_workloads::Trace) -> Vec<Cell<'_>> {
+    let mut cells = Vec::new();
+    for arch in ARCHS {
+        for p in PRESSURES {
+            cells.push(Cell::new(trace, arch, SimConfig::at_pressure(p)));
+        }
+    }
+    cells
+}
+
 #[test]
 fn parallel_cells_identical_to_serial() {
     let base = SimConfig::default();
     for app in APPS {
         let trace = app.build(SizeClass::Tiny, base.geometry.page_bytes());
-        let cells: Vec<(Arch, f64)> = ARCHS
-            .iter()
-            .flat_map(|&a| PRESSURES.iter().map(move |&p| (a, p)))
-            .collect();
-        let serial: Vec<_> = cells
-            .iter()
-            .map(|&(a, p)| {
-                let cfg = SimConfig {
-                    pressure: p,
-                    ..base
-                };
-                ascoma::simulate(&trace, a, &cfg)
-            })
-            .collect();
-        let parallel = run_indexed(cells.len(), 4, |i| {
-            let (a, p) = cells[i];
-            let cfg = SimConfig {
-                pressure: p,
-                ..base
-            };
-            ascoma::simulate(&trace, a, &cfg)
-        });
-        for ((s, p), &(arch, pressure)) in serial.iter().zip(&parallel).zip(&cells) {
+        let cells = grid(&trace);
+        let parallel = run_cells(&cells, 4, None);
+        for (cell, p) in cells.iter().zip(&parallel) {
+            let s = ascoma::simulate(cell.trace, cell.arch, &cell.cfg);
             // Field-for-field; `RunResult: PartialEq` covers every field
             // including `threshold_trajectories` and the obs digest.
-            assert_eq!(s, p, "{app:?} {arch:?} @ {pressure}");
+            assert_eq!(&s, p, "{}", cell.label());
             assert!(!s.threshold_trajectories.is_empty());
         }
     }
@@ -72,11 +63,11 @@ fn traced_runs_agree_across_workers() {
 fn figure_engine_identical_across_job_counts() {
     let base = SimConfig::default();
     for app in APPS {
-        let trace = app.build(SizeClass::Tiny, base.geometry.page_bytes());
-        let serial = run_figure_on(&trace, &PRESSURES, &base);
+        let traces = [app.build(SizeClass::Tiny, base.geometry.page_bytes())];
+        let cells = figure_grid(&traces, &PRESSURES, &base);
+        let serial = assemble_figure(app.name(), run_cells(&cells, 1, None));
         for jobs in [2, 4, 9] {
-            let par = run_figure_on_jobs(&trace, &PRESSURES, &base, jobs);
-            assert_eq!(serial.app, par.app);
+            let par = assemble_figure(app.name(), run_cells(&cells, jobs, None));
             assert_eq!(serial.baseline, par.baseline);
             assert_eq!(serial.bars.len(), par.bars.len());
             for (a, b) in serial.bars.iter().zip(&par.bars) {
@@ -91,16 +82,6 @@ fn figure_engine_identical_across_job_counts() {
 fn sweep_jobs_produce_identical_grid() {
     let base = SimConfig::default();
     let trace = App::Ocean.build(SizeClass::Tiny, base.geometry.page_bytes());
-    let serial = Sweep::new(&trace)
-        .archs(ARCHS)
-        .pressures(PRESSURES)
-        .run(&base);
-    let parallel = Sweep::new(&trace)
-        .archs(ARCHS)
-        .pressures(PRESSURES)
-        .jobs(4)
-        .run(&base);
-    assert_eq!(serial.cells, parallel.cells);
-    assert_eq!(serial.archs, parallel.archs);
-    assert_eq!(serial.pressures, parallel.pressures);
+    let cells = grid(&trace);
+    assert_eq!(run_cells(&cells, 1, None), run_cells(&cells, 4, None));
 }

@@ -203,18 +203,13 @@ fn ascoma_beats_rnuma_most_on_radix_at_low_pressure() {
 /// R-NUMA at 10% pressure; fft and ocean relocate (nearly) nothing.
 #[test]
 fn table6_relocation_census_shape() {
-    use ascoma::experiments::run_table6;
+    use ascoma::experiments::{run_cells, table6_cell};
     let cfg = SimConfig::default();
-    let hot = run_table6(App::Radix, SizeClass::Default, &cfg);
-    assert!(
-        hot.fraction > 0.9,
-        "radix relocated fraction {} (paper: ~94%)",
-        hot.fraction
-    );
-    let cold = run_table6(App::Fft, SizeClass::Default, &cfg);
-    assert!(
-        cold.fraction < 0.05,
-        "fft relocated fraction {} (paper: <1%)",
-        cold.fraction
-    );
+    let traces =
+        [App::Radix, App::Fft].map(|a| a.build(SizeClass::Default, cfg.geometry.page_bytes()));
+    let cells: Vec<_> = traces.iter().map(|t| table6_cell(t, &cfg)).collect();
+    let runs = run_cells(&cells, 2, None);
+    let (hot, cold) = (runs[0].relocated_fraction(), runs[1].relocated_fraction());
+    assert!(hot > 0.9, "radix relocated fraction {hot} (paper: ~94%)");
+    assert!(cold < 0.05, "fft relocated fraction {cold} (paper: <1%)");
 }

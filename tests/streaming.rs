@@ -5,7 +5,7 @@
 //! deterministic function of the cell — identical whether the grid runs
 //! serially or fanned across workers.
 
-use ascoma::experiments::{figure_stream_cells, run_cells_streamed, StreamCell, StreamSpec};
+use ascoma::experiments::{figure_grid, run_cells, Cell, StreamSpec};
 use ascoma::machine::{simulate_measured, simulate_measured_streamed, simulate_streamed};
 use ascoma::{simulate, Arch, SimConfig};
 use ascoma_obs::{Snapshot, StreamEvent};
@@ -72,25 +72,25 @@ fn tiny_grid(cfg: &SimConfig) -> Vec<ascoma_workloads::trace::Trace> {
 fn grid_results_identical_with_streaming_on_or_off_at_any_job_count() {
     let cfg = base_cfg();
     let traces = tiny_grid(&cfg);
-    let cells = figure_stream_cells(&traces, &[0.1, 0.9], &cfg);
-    let reference = run_cells_streamed(&cells, &cfg, 1, None);
+    let cells = figure_grid(&traces, &[0.1, 0.9], &cfg);
+    let reference = run_cells(&cells, 1, None);
     for jobs in [1usize, 4] {
         let (tx, rx) = mpsc::channel();
         let spec = StreamSpec::new(tx, CADENCE, WINDOW);
-        let streamed = run_cells_streamed(&cells, &cfg, jobs, Some(&spec));
+        let streamed = run_cells(&cells, jobs, Some(&spec));
         drop(spec);
         assert_eq!(reference, streamed, "jobs={jobs}");
         assert!(rx.try_iter().count() > 0, "stream was fed");
-        let plain = run_cells_streamed(&cells, &cfg, jobs, None);
+        let plain = run_cells(&cells, jobs, None);
         assert_eq!(reference, plain, "jobs={jobs} uninstrumented");
     }
 }
 
 /// Collect the full stream for one sweep configuration.
-fn stream_of(cells: &[StreamCell<'_>], cfg: &SimConfig, jobs: usize) -> Vec<StreamEvent> {
+fn stream_of(cells: &[Cell<'_>], jobs: usize) -> Vec<StreamEvent> {
     let (tx, rx) = mpsc::channel();
     let spec = StreamSpec::new(tx, CADENCE, WINDOW);
-    let _ = run_cells_streamed(cells, cfg, jobs, Some(&spec));
+    let _ = run_cells(cells, jobs, Some(&spec));
     drop(spec);
     rx.try_iter().collect()
 }
@@ -99,9 +99,9 @@ fn stream_of(cells: &[StreamCell<'_>], cfg: &SimConfig, jobs: usize) -> Vec<Stre
 fn per_cell_snapshot_sequences_are_deterministic_across_job_counts() {
     let cfg = base_cfg();
     let traces = tiny_grid(&cfg);
-    let cells = figure_stream_cells(&traces, &[0.5], &cfg);
-    let serial = stream_of(&cells, &cfg, 1);
-    let parallel = stream_of(&cells, &cfg, 3);
+    let cells = figure_grid(&traces, &[0.5], &cfg);
+    let serial = stream_of(&cells, 1);
+    let parallel = stream_of(&cells, 3);
 
     // Protocol shape: brackets, one start and one done per cell.
     for evs in [&serial, &parallel] {
@@ -143,7 +143,7 @@ fn per_cell_snapshot_sequences_are_deterministic_across_job_counts() {
     }
 
     // And the reported completion cycles match the actual results.
-    let runs = run_cells_streamed(&cells, &cfg, 1, None);
+    let runs = run_cells(&cells, 1, None);
     for ev in &serial {
         if let StreamEvent::CellDone { cell, cycles } = ev {
             assert_eq!(*cycles, runs[*cell as usize].cycles);
@@ -153,12 +153,13 @@ fn per_cell_snapshot_sequences_are_deterministic_across_job_counts() {
 
 #[test]
 fn marker_only_mode_sends_no_snapshots() {
-    let cfg = base_cfg();
+    let mut cfg = base_cfg();
+    cfg.pressure = 0.5;
     let trace = App::Em3d.build(SizeClass::Tiny, cfg.geometry.page_bytes());
-    let cells = vec![StreamCell::new(&trace, Arch::Scoma, 0.5)];
+    let cells = vec![Cell::new(&trace, Arch::Scoma, cfg)];
     let (tx, rx) = mpsc::channel();
     let spec = StreamSpec::new(tx, 0, WINDOW);
-    let runs = run_cells_streamed(&cells, &cfg, 1, Some(&spec));
+    let runs = run_cells(&cells, 1, Some(&spec));
     drop(spec);
     let evs: Vec<StreamEvent> = rx.try_iter().collect();
     assert_eq!(runs.len(), 1);
@@ -168,7 +169,7 @@ fn marker_only_mode_sends_no_snapshots() {
             StreamEvent::GridStart { cells: 1 },
             StreamEvent::CellStart {
                 cell: 0,
-                label: cells[0].label.clone(),
+                label: cells[0].label(),
             },
             StreamEvent::CellDone {
                 cell: 0,
