@@ -281,7 +281,7 @@ fn main() {
     // Per-layer throughput: deterministic counters over the measured
     // serial wall time.  Advisory (host-speed-dependent) — `bench diff`
     // ignores them; they answer "which layer got slower" across runs of
-    // the same host, complementing the isolated `hotpath` microbench.
+    // the same host, complementing the per-layer replays of `benchmark trace`.
     let per_sec = |count: u64| count as f64 / serial_secs;
     let _ = writeln!(json, "  \"rates\": {{");
     let _ = writeln!(

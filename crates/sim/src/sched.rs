@@ -21,22 +21,23 @@
 //! branch-predictable compares over one cache line, cheaper than a
 //! `BinaryHeap`'s sift with tuple compares.
 //!
-//! On top of the flat scan sits a *run-to-quiescence* fast path: each
-//! full scan also records the runner-up (the lexicographic `(time, id)`
-//! minimum over every queued node except the winner).  While the popped
-//! node keeps getting re-pushed with times that still beat the runner-up
-//! — the common no-contention case, where one node streams through L1
-//! hits below every other node's clock — the next pop is a single
-//! compare, skipping the rescan entirely.  The runner-up stays exact
-//! between scans because nodes only *join* the queue in that window
-//! (each push folds into the cached minimum); only a pop removes a node,
-//! and the fast path only ever pops the same node again.
+//! Each pop scans at most once, and only after the winner is known:
+//! the scheduler keeps `last` (the most recently popped node) and
+//! `runner`, the exact minimum key over every queued node except `last`.
+//! A pop takes `last` again if it was re-pushed below `runner` — the
+//! common no-contention case, where one node streams through L1 hits
+//! below every other clock, a single compare.  Otherwise `runner` *is*
+//! the next winner: its node is popped in O(1), becomes `last`, and one
+//! plain minimum over `ready` (the new winner's slot now idle) refreshes
+//! `runner`.  A push of any node but `last` folds into `runner`, so it
+//! stays exact through every interleaving of pushes and pops, including
+//! a popped node that blocks and is never re-pushed.
 //!
 //! Entries are stored *packed*: `(time << 16) | id` in one `u64`, so the
-//! lexicographic `(time, id)` order is plain integer order and the scan
-//! is a branchless two-minimum reduction (min + runner-up via
-//! conditional moves, no data-dependent branches to mispredict when
-//! nodes run in lock-step).  Times are cycle counts far below `2^48`
+//! lexicographic `(time, id)` order is plain integer order and the
+//! refresh is a branch-free reduction in two interleaved chains
+//! (conditional moves, nothing to mispredict when nodes run in
+//! lock-step).  Times are cycle counts far below `2^48`
 //! (debug-asserted), so packing is lossless.
 
 use crate::{Cycles, NodeId};
@@ -53,6 +54,26 @@ fn key(node: u16, time: Cycles) -> u64 {
     (time << 16) | node as u64
 }
 
+/// Minimum of `ready` ([`IDLE`] if empty), as two interleaved compare
+/// chains over alternate slots, so the serial dependency is half the
+/// slot count.  Written with `if`-selects rather than `u64::min`: the
+/// compiler vectorizes a plain `min` fold, and on the x86-64 baseline
+/// (no 64-bit vector compare) that emulated reduction is slower than
+/// this scalar one for the 4–16 slots of a figure cell.  Kept out of
+/// line: inlined into the machine's run loop, the same scan made whole
+/// cells slower (DESIGN.md §17).
+#[inline(never)]
+fn min_key(ready: &[u64]) -> u64 {
+    let mut pairs = ready.chunks_exact(2);
+    let (mut a, mut b) = (IDLE, IDLE);
+    for p in &mut pairs {
+        a = if p[0] < a { p[0] } else { a };
+        b = if p[1] < b { p[1] } else { b };
+    }
+    let m = if b < a { b } else { a };
+    pairs.remainder().iter().fold(m, |m, &k| m.min(k))
+}
+
 /// Flat min-scheduler over `(ready_time, node)`.
 #[derive(Debug)]
 pub struct Scheduler {
@@ -60,14 +81,11 @@ pub struct Scheduler {
     ready: Vec<u64>,
     /// Number of queued (non-IDLE) nodes.
     live: usize,
-    /// Node returned by the last full-scan pop (fast-path candidate).
+    /// The most recently popped node (node 0 before the first pop).
     last: u16,
-    /// Minimum key over queued nodes *other than* `last`, exact as of
-    /// the last full scan folded with every push since.  [`IDLE`] when
-    /// no other node is queued.
+    /// Minimum key over queued nodes *other than* `last`; [`IDLE`] when
+    /// no other node is queued.  Exact at all times.
     runner: u64,
-    /// Whether `last`/`runner` describe the current queue.
-    cached: bool,
 }
 
 impl Default for Scheduler {
@@ -77,7 +95,6 @@ impl Default for Scheduler {
             live: 0,
             last: 0,
             runner: IDLE,
-            cached: false,
         }
     }
 }
@@ -90,10 +107,12 @@ impl Scheduler {
 
     /// A scheduler with `nodes` nodes all ready at time zero.
     pub fn with_nodes(nodes: usize) -> Self {
+        let ready: Vec<u64> = (0..nodes).map(|i| key(i as u16, 0)).collect();
         Self {
-            ready: (0..nodes).map(|i| key(i as u16, 0)).collect(),
+            runner: ready.get(1).copied().unwrap_or(IDLE),
+            ready,
             live: nodes,
-            ..Self::default()
+            last: 0,
         }
     }
 
@@ -108,10 +127,9 @@ impl Scheduler {
         let k = key(node.0, time);
         self.ready[i] = k;
         self.live += 1;
-        // A node joining the queue can only lower the cached runner-up;
-        // the re-push of `last` itself is handled by the fast-path
-        // compare in `pop`.
-        if self.cached && node.0 != self.last && k < self.runner {
+        // `runner` covers every queued node but `last`, whose own key
+        // is compared against it in `pop`.
+        if node.0 != self.last && k < self.runner {
             self.runner = k;
         }
     }
@@ -122,73 +140,40 @@ impl Scheduler {
         if self.live == 0 {
             return None;
         }
-        if self.cached {
-            // Fast path: the last-popped node was re-pushed and still
-            // beats every other queued node — pop it again without
-            // rescanning (the runner-up cache stays exact).
-            let k = self.ready[self.last as usize];
-            if k < self.runner {
-                self.ready[self.last as usize] = IDLE;
-                self.live -= 1;
-                return Some((NodeId(self.last), k >> 16));
-            }
-        }
-        Some(self.pop_scan())
-    }
-
-    /// Full argmin scan: pop the minimum-key node and cache the
-    /// runner-up for the fast path.  Packed keys make this a two-min
-    /// reduction — per element one min/max pair the compiler lowers to
-    /// conditional moves, with idle slots losing naturally as `u64::MAX`
-    /// and the winning key carrying its node id in the low bits (no
-    /// position bookkeeping).
-    fn pop_scan(&mut self) -> (NodeId, Cycles) {
-        // Consume slots two at a time: each pair is pre-sorted with one
-        // compare, so the serial `best` dependency chain is half as long
-        // and the `runner` mins run in parallel with it.
-        let mut best = IDLE;
-        let mut runner = IDLE;
-        let mut pairs = self.ready.chunks_exact(2);
-        for p in &mut pairs {
-            let (lo, hi) = if p[0] < p[1] {
-                (p[0], p[1])
-            } else {
-                (p[1], p[0])
-            };
-            let (b, m) = if lo < best { (lo, best) } else { (best, lo) };
-            best = b;
-            runner = runner.min(m).min(hi);
-        }
-        for &k in pairs.remainder() {
-            let (lo, hi) = if k < best { (k, best) } else { (best, k) };
-            best = lo;
-            runner = runner.min(hi);
-        }
-        debug_assert!(best != IDLE, "live count positive but no queued node");
-        let id = (best & 0xFFFF) as u16;
-        self.ready[id as usize] = IDLE;
         self.live -= 1;
+        let k = self.ready[self.last as usize];
+        if k < self.runner {
+            // `last` was re-pushed below every other queued node.
+            self.ready[self.last as usize] = IDLE;
+            return Some((NodeId(self.last), k >> 16));
+        }
+        // Otherwise the runner-up is the winner (a queued node exists,
+        // so `runner` is not IDLE): pop it and rescan for the next one.
+        let k = self.runner;
+        debug_assert!(k != IDLE, "live count positive but no queued node");
+        let id = (k & 0xFFFF) as u16;
+        self.ready[id as usize] = IDLE;
         self.last = id;
-        self.runner = runner;
-        self.cached = true;
-        (NodeId(id), best >> 16)
+        self.runner = min_key(&self.ready);
+        Some((NodeId(id), k >> 16))
     }
 
     /// After popping `node`, report whether re-pushing it at `time` would
     /// make it the very next pop (the fast-path condition).  When true,
     /// the caller may keep executing the node without the push/pop
-    /// round-trip: the node stays logically popped and the runner-up
-    /// cache — which tracks every *other* queued node — remains exact.
-    /// Pushes of other nodes between calls stay safe: each folds into
-    /// the runner-up, so a node waking below `time` flips this to false.
+    /// round-trip: the node stays logically popped and `runner` — which
+    /// tracks every *other* queued node — remains exact.  Pushes of
+    /// other nodes between calls stay safe: each folds into `runner`, so
+    /// a node waking below `time` flips this to false.
     #[inline]
     pub fn requeue_is_next(&self, node: NodeId, time: Cycles) -> bool {
-        self.cached && node.0 == self.last && key(node.0, time) < self.runner
+        node.0 == self.last && key(node.0, time) < self.runner
     }
 
     /// Peek at the earliest-ready node without removing it.
     pub fn peek(&self) -> Option<(NodeId, Cycles)> {
-        let best = self.ready.iter().copied().min().unwrap_or(IDLE);
+        let own = self.ready.get(self.last as usize).copied().unwrap_or(IDLE);
+        let best = own.min(self.runner);
         (best != IDLE).then_some((NodeId((best & 0xFFFF) as u16), best >> 16))
     }
 
@@ -309,8 +294,10 @@ mod tests {
 
     /// Property test (vendored `SimRng`): across randomized push/pop
     /// sequences — duplicate times, re-pushes after pops, interleaved
-    /// wake-ups — the flat scheduler's pop order is identical to the
-    /// old `BinaryHeap` semantics (min clock, ties by node id).
+    /// wake-ups, popped nodes that block (not re-pushed until the queue
+    /// drains, like a barrier) and pushes into a drained scheduler — the
+    /// flat scheduler's pop order is identical to the old `BinaryHeap`
+    /// semantics (min clock, ties by node id).
     #[test]
     fn pop_order_matches_binary_heap_reference() {
         use crate::rng::SimRng;
@@ -327,28 +314,51 @@ mod tests {
                 heap.push(NodeId(n as u16), 0);
             }
             let mut popped: Vec<usize> = Vec::new();
+            let mut blocked: Vec<usize> = Vec::new();
+            let push = |flat: &mut Scheduler, heap: &mut HeapSched, n: usize, t: u64| {
+                flat.push(NodeId(n as u16), t);
+                heap.push(NodeId(n as u16), t);
+            };
             for _ in 0..2000 {
-                if !popped.is_empty() && rng.chance(0.6) {
+                if flat.is_empty() && !blocked.is_empty() && (popped.is_empty() || rng.chance(0.5))
+                {
+                    // Barrier release: every blocked node is pushed into
+                    // the drained scheduler, in random order.
+                    while !blocked.is_empty() {
+                        let n = blocked.swap_remove(rng.below(blocked.len() as u64) as usize);
+                        clock[n] += rng.below(3);
+                        push(&mut flat, &mut heap, n, clock[n]);
+                        queued[n] = true;
+                    }
+                } else if !popped.is_empty() && rng.chance(0.6) {
                     // Re-push a previously popped node; duplicate times
                     // arise because advances are often zero.
                     let i = rng.below(popped.len() as u64) as usize;
                     let n = popped.swap_remove(i);
                     let advance = [0, 0, 1, 7][rng.below(4) as usize];
                     clock[n] += advance;
-                    flat.push(NodeId(n as u16), clock[n]);
-                    heap.push(NodeId(n as u16), clock[n]);
+                    push(&mut flat, &mut heap, n, clock[n]);
                     queued[n] = true;
                 } else {
                     let f = flat.pop();
                     let h = heap.pop();
                     assert_eq!(f, h, "divergence at seed {seed}");
+                    assert_eq!(
+                        flat.peek(),
+                        heap.heap.peek().map(|r| (NodeId(r.0 .1), r.0 .0))
+                    );
                     if let Some((n, t)) = f {
                         assert!(queued[n.idx()]);
                         queued[n.idx()] = false;
                         clock[n.idx()] = t;
-                        popped.push(n.idx());
+                        if rng.chance(0.15) {
+                            blocked.push(n.idx());
+                        } else {
+                            popped.push(n.idx());
+                        }
                     }
                 }
+                assert_eq!(flat.len(), heap.heap.len());
             }
             // Drain: orders must agree to the end.
             loop {
@@ -360,5 +370,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_popped_node_that_blocks_is_never_popped_again() {
+        // Node 1 wins, blocks (not re-pushed); the queue must serve the
+        // rest in order and then report empty.
+        let mut s = Scheduler::with_nodes(3);
+        assert_eq!(s.pop(), Some((NodeId(0), 0)));
+        s.push(NodeId(0), 5);
+        assert_eq!(s.pop(), Some((NodeId(1), 0)));
+        assert!(!s.requeue_is_next(NodeId(1), 10));
+        assert_eq!(s.pop(), Some((NodeId(2), 0)));
+        assert_eq!(s.pop(), Some((NodeId(0), 5)));
+        assert_eq!(s.pop(), None);
+        assert_eq!(s.peek(), None);
+    }
+
+    #[test]
+    fn push_into_a_drained_scheduler() {
+        let mut s = Scheduler::with_nodes(4);
+        for n in 0..4u16 {
+            assert_eq!(s.pop(), Some((NodeId(n), 0)));
+        }
+        assert!(s.is_empty());
+        // The last-popped node (3) and two others wake, out of id order.
+        s.push(NodeId(2), 40);
+        s.push(NodeId(3), 30);
+        s.push(NodeId(0), 40);
+        assert_eq!(s.peek(), Some((NodeId(3), 30)));
+        assert_eq!(s.pop(), Some((NodeId(3), 30)));
+        assert_eq!(s.pop(), Some((NodeId(0), 40)));
+        assert_eq!(s.pop(), Some((NodeId(2), 40)));
+        assert_eq!(s.pop(), None);
+        // A lone node pushed into the drained queue is next.
+        s.push(NodeId(1), 50);
+        assert_eq!(s.pop(), Some((NodeId(1), 50)));
+        assert!(s.requeue_is_next(NodeId(1), 60));
     }
 }

@@ -249,8 +249,9 @@ mod tests {
         let seg = &t.programs[0].segments[0];
         let seq = seg
             .ops
-            .windows(2)
-            .filter(|w| w[1].addr() == w[0].addr() + 32)
+            .iter()
+            .zip(seg.ops.iter().skip(1))
+            .filter(|(a, b)| b.addr() == a.addr() + 32)
             .count();
         assert!(seq * 10 >= seg.ops.len() * 9);
     }

@@ -133,6 +133,26 @@ mod tests {
         }
     }
 
+    /// Every generator at every size class stays inside the 30-bit
+    /// address space of a stored op word (a push beyond it panics).
+    #[test]
+    fn every_size_class_fits_the_op_word() {
+        for size in SizeClass::ALL {
+            for app in App::ALL {
+                let t = app.build(size, 4096);
+                let top = t
+                    .programs
+                    .iter()
+                    .flat_map(|p| &p.segments)
+                    .flat_map(|s| &s.ops)
+                    .map(|o| o.addr())
+                    .max()
+                    .unwrap_or(0);
+                assert!(top < crate::trace::OP_ADDR_LIMIT, "{}", app.name());
+            }
+        }
+    }
+
     #[test]
     fn parse_roundtrip() {
         for app in App::ALL {

@@ -18,6 +18,10 @@ use ascoma_sim::NodeId;
 
 /// One memory operation, packed into a `u64`:
 /// bits 2.. = byte address, bit 1 = private, bit 0 = write.
+///
+/// This is the value type of an operation.  A [`Segment`] stores the
+/// same layout in one 32-bit word per operation ([`Ops`]), so a stored
+/// address must lie below [`OP_ADDR_LIMIT`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedOp(pub u64);
 
@@ -48,13 +52,88 @@ impl PackedOp {
     }
 }
 
+/// Exclusive upper bound of a stored operation's byte address: the 30
+/// bits a 32-bit op word leaves above the private and write flags.
+pub const OP_ADDR_LIMIT: u64 = 1 << 30;
+
+/// A segment's operations in program order, one 32-bit word each in
+/// [`PackedOp`]'s layout (`addr << 2 | private << 1 | write`).
+///
+/// Stored traces are most of a run's memory, and no generator emits an
+/// address at or above 2^24, so the upper half of a `u64` op would only
+/// ever hold zeros.  [`Ops::push`] asserts the address fits; a word is
+/// never truncated.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Ops(Vec<u32>);
+
+impl Ops {
+    /// Append `op`.
+    ///
+    /// # Panics
+    /// If `op`'s address is not below [`OP_ADDR_LIMIT`].
+    #[inline]
+    pub fn push(&mut self, op: PackedOp) {
+        assert!(
+            op.addr() < OP_ADDR_LIMIT,
+            "trace op address {:#x} does not fit a 32-bit op word (limit 2^30)",
+            op.addr()
+        );
+        self.0.push(op.0 as u32);
+    }
+
+    /// Number of operations.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether there are no operations.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The operations, in program order.
+    #[inline]
+    pub fn iter(&self) -> OpsIter<'_> {
+        OpsIter(self.0.iter())
+    }
+}
+
+impl<'a> IntoIterator for &'a Ops {
+    type Item = PackedOp;
+    type IntoIter = OpsIter<'a>;
+
+    fn into_iter(self) -> OpsIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over an [`Ops`], decoding each word into a [`PackedOp`].
+#[derive(Debug, Clone)]
+pub struct OpsIter<'a>(std::slice::Iter<'a, u32>);
+
+impl Iterator for OpsIter<'_> {
+    type Item = PackedOp;
+
+    #[inline]
+    fn next(&mut self) -> Option<PackedOp> {
+        self.0.next().map(|&w| PackedOp(w.into()))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
 /// A reusable run of operations with uniform interleaved compute.
 #[derive(Debug, Clone, Default)]
 pub struct Segment {
     /// User-instruction cycles executed before each operation.
     pub compute_per_op: u32,
     /// The operations, in program order.
-    pub ops: Vec<PackedOp>,
+    pub ops: Ops,
 }
 
 impl Segment {
@@ -62,11 +141,14 @@ impl Segment {
     pub fn new(compute_per_op: u32) -> Self {
         Self {
             compute_per_op,
-            ops: Vec::new(),
+            ops: Ops::default(),
         }
     }
 
     /// Append a shared-memory operation.
+    ///
+    /// # Panics
+    /// If `addr` is not below [`OP_ADDR_LIMIT`].
     #[inline]
     pub fn push(&mut self, addr: u64, write: bool) {
         self.ops.push(PackedOp::new(addr, write, false));
@@ -74,6 +156,9 @@ impl Segment {
 
     /// Append a private-memory operation (`offset` within the node's
     /// private region).
+    ///
+    /// # Panics
+    /// If `offset` is not below [`OP_ADDR_LIMIT`].
     #[inline]
     pub fn push_private(&mut self, offset: u64, write: bool) {
         self.ops.push(PackedOp::new(offset, write, true));
@@ -105,8 +190,10 @@ pub struct NodeProgram {
 }
 
 impl NodeProgram {
-    /// Add a segment, returning its index for scheduling.
-    pub fn add_segment(&mut self, seg: Segment) -> u32 {
+    /// Add a segment, returning its index for scheduling.  The segment
+    /// is complete, so its op storage is trimmed to its length.
+    pub fn add_segment(&mut self, mut seg: Segment) -> u32 {
+        seg.ops.0.shrink_to_fit();
         self.segments.push(seg);
         (self.segments.len() - 1) as u32
     }
@@ -329,7 +416,7 @@ pub struct TraceRunner<'a> {
     /// Ops of the segment currently being replayed (empty between
     /// segments).  Caching the slice keeps the per-op path to one bounds
     /// check instead of schedule → segment table → ops re-resolution.
-    cur_ops: &'a [PackedOp],
+    cur_ops: &'a [u32],
     /// `compute_per_op` of the current segment.
     cur_compute: u32,
 }
@@ -371,7 +458,8 @@ impl<'a> TraceRunner<'a> {
     }
 
     #[inline]
-    fn access(op: PackedOp, pre_compute: u32) -> Op {
+    fn access(word: u32, pre_compute: u32) -> Op {
+        let op = PackedOp(word.into());
         Op::Access {
             addr: VAddr(op.addr()),
             write: op.write(),
@@ -396,8 +484,8 @@ impl<'a> TraceRunner<'a> {
             match *item {
                 ScheduleItem::Run(seg_idx) => {
                     let seg = &self.program.segments[seg_idx as usize];
-                    if let Some(&op) = seg.ops.first() {
-                        self.cur_ops = &seg.ops;
+                    if let Some(&op) = seg.ops.0.first() {
+                        self.cur_ops = &seg.ops.0;
                         self.cur_compute = seg.compute_per_op;
                         self.op_idx = 1;
                         return Some(Self::access(op, seg.compute_per_op));
@@ -426,6 +514,89 @@ mod tests {
         assert!(!op2.write());
         assert!(op2.private());
         assert_eq!(op2.addr(), 12345);
+    }
+
+    #[test]
+    fn op_word_roundtrips_at_the_address_limit() {
+        let top = OP_ADDR_LIMIT - 1;
+        for write in [false, true] {
+            for private in [false, true] {
+                let mut ops = Ops::default();
+                ops.push(PackedOp::new(top, write, private));
+                let mut seg = Segment::new(0);
+                if private {
+                    seg.push_private(top, write);
+                } else {
+                    seg.push(top, write);
+                }
+                for stored in [&ops, &seg.ops] {
+                    let op = stored.iter().next().unwrap();
+                    assert_eq!(op, PackedOp::new(top, write, private));
+                    assert_eq!((op.addr(), op.write(), op.private()), (top, write, private));
+                    assert_eq!(u64::from(stored.0[0]), op.0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "0x40000000 does not fit")]
+    fn push_at_the_address_limit_panics() {
+        Segment::new(0).push(OP_ADDR_LIMIT, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "0x40000000 does not fit")]
+    fn push_private_at_the_address_limit_panics() {
+        Segment::new(0).push_private(OP_ADDR_LIMIT, true);
+    }
+
+    /// Memory guard: a stored op is one 4-byte word, with no slack
+    /// capacity left behind by segment construction.
+    #[test]
+    fn em3d_default_op_storage_is_four_bytes_per_static_op() {
+        let t = crate::App::Em3d.build(crate::SizeClass::Default, 4096);
+        let segs = || t.programs.iter().flat_map(|p| &p.segments);
+        let static_ops: usize = segs().map(|s| s.ops.len()).sum();
+        let bytes: usize = segs().map(|s| s.ops.0.capacity() * 4).sum();
+        assert_eq!(static_ops, 1_181_696);
+        assert_eq!(bytes, 4 * static_ops);
+    }
+
+    /// The runner decodes exactly what was stored: re-packing its access
+    /// stream reproduces every segment's words in schedule order.
+    #[test]
+    fn runner_repacks_into_the_stored_words_for_every_app() {
+        for app in crate::App::ALL {
+            let t = app.build(crate::SizeClass::Tiny, 4096);
+            for p in &t.programs {
+                let stored: Vec<u32> = p
+                    .schedule
+                    .iter()
+                    .filter_map(|item| match *item {
+                        ScheduleItem::Run(i) => Some(&p.segments[i as usize].ops.0),
+                        _ => None,
+                    })
+                    .flatten()
+                    .copied()
+                    .collect();
+                let mut replayed = Vec::with_capacity(stored.len());
+                let mut r = TraceRunner::new(p);
+                while let Some(op) = r.next() {
+                    if let Op::Access {
+                        addr,
+                        write,
+                        private,
+                        ..
+                    } = op
+                    {
+                        replayed.push(PackedOp::new(addr.0, write, private).0 as u32);
+                    }
+                }
+                assert!(!stored.is_empty(), "{}", app.name());
+                assert!(replayed == stored, "{}: replay differs", app.name());
+            }
+        }
     }
 
     fn tiny_program() -> NodeProgram {

@@ -21,7 +21,7 @@ DATA=/tmp/ascoma-perf.data
 if ! command -v "$PERF" >/dev/null 2>&1; then
     echo "profile.sh: '$PERF' not found; skipping profile." >&2
     echo "Install linux-tools (Debian: apt install linux-perf) or set PERF=/path/to/perf." >&2
-    echo "The hotpath microbench needs no perf:  cargo bench -p ascoma-bench --bench hotpath" >&2
+    echo "Per-layer ns/op needs no perf:  cargo run --release --offline --manifest-path benchmark/Cargo.toml -- trace em3d-local" >&2
     exit 0
 fi
 
