@@ -15,7 +15,9 @@
 //!   `bench report`, `inspect trace` and `bench watch`: recording, the
 //!   online lifecycle summary, the metrics registry and snapshots.  Its
 //!   cost over baseline is printed per event, and its recorded log size
-//!   in bytes per event, advisory only (no budget);
+//!   in bytes per event, advisory only (no budget), next to the time to
+//!   encode and to decode that log per event (what `bench report`,
+//!   `inspect trace` and the JSONL export pay to read a whole log);
 //! * `batched`        — the simulating thread's share of `observed`:
 //!   events batched to a `BatchSink` whose worker discards them.  The
 //!   observed path folds on that worker, so this is what observation
@@ -32,7 +34,7 @@
 use ascoma::experiments::{run_cells, Cell};
 use ascoma::machine::{simulate, simulate_measured_streamed, simulate_with_sink};
 use ascoma::{Arch, SimConfig};
-use ascoma_obs::{BatchSink, EventLog, NoopSink};
+use ascoma_obs::{BatchSink, EventLog, NoopSink, Sink, TimedEvent};
 use ascoma_workloads::{App, SizeClass};
 use std::hint::black_box;
 use std::time::Instant;
@@ -118,10 +120,27 @@ fn main() {
     run_off();
     run_obs();
     run_batched();
-    let (_r, events, _reg) =
+    let (_r, recorded, _reg) =
         simulate_measured_streamed(&trace, Arch::AsComa, &cfg, obs_window, obs_window, |_| {});
-    let log_bytes = events.byte_len() as f64;
-    let events = events.len() as f64;
+    let log_bytes = recorded.byte_len() as f64;
+    let events = recorded.len() as f64;
+    let decoded: Vec<TimedEvent> = recorded.iter().collect();
+    let mut encode = || {
+        let mut log = EventLog::new();
+        for te in black_box(&decoded) {
+            log.emit(te.cycle, te.event);
+        }
+        black_box(log);
+    };
+    let mut decode = || {
+        black_box(
+            black_box(&recorded)
+                .iter()
+                .fold(0u64, |acc, te| acc ^ te.cycle),
+        );
+    };
+    encode();
+    decode();
 
     let mut base = Vec::with_capacity(SAMPLES);
     let mut noop = Vec::with_capacity(SAMPLES);
@@ -129,6 +148,8 @@ fn main() {
     let mut off = Vec::with_capacity(SAMPLES);
     let mut obs = Vec::with_capacity(SAMPLES);
     let mut batched = Vec::with_capacity(SAMPLES);
+    let mut enc = Vec::with_capacity(SAMPLES);
+    let mut dec = Vec::with_capacity(SAMPLES);
     for _ in 0..SAMPLES {
         base.push(batch_ns(&mut run_base));
         noop.push(batch_ns(&mut run_noop));
@@ -136,6 +157,8 @@ fn main() {
         off.push(batch_ns(&mut run_off));
         obs.push(batch_ns(&mut run_obs));
         batched.push(batch_ns(&mut run_batched));
+        enc.push(batch_ns(&mut encode));
+        dec.push(batch_ns(&mut decode));
     }
 
     let (base, noop, log, off, obs, batched) = (
@@ -175,6 +198,14 @@ fn main() {
     println!(
         "observed recorded log:           {:.2} bytes/event (advisory)",
         log_bytes / events
+    );
+    println!(
+        "observed log encode:             {:.1} ns/event (advisory)",
+        median(enc) / events
+    );
+    println!(
+        "observed log decode:             {:.1} ns/event (advisory)",
+        median(dec) / events
     );
     if overhead > 0.02 {
         println!("WARNING: no-op sink overhead exceeds the 2% budget");

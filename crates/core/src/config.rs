@@ -195,11 +195,25 @@ impl SimConfig {
     pub fn validate(&self) {
         assert!(self.pressure > 0.0 && self.pressure <= 1.0);
         assert!(self.free_min_frac <= self.free_target_frac);
-        assert!(self.l1_bytes.is_power_of_two());
-        assert!(self.l1_ways.is_power_of_two());
+        assert!(
+            self.l1_bytes.is_power_of_two(),
+            "l1_bytes must be a power of two"
+        );
+        assert!(
+            self.l1_ways.is_power_of_two(),
+            "l1_ways must be a power of two"
+        );
+        assert!(
+            self.l1_ways as u64 * self.geometry.line_bytes() <= self.l1_bytes,
+            "l1_ways lines must fit in l1_bytes"
+        );
         assert!(
             self.rac_bytes == 0 || self.rac_bytes >= self.geometry.block_bytes(),
             "RAC must fit at least one DSM block"
+        );
+        assert!(
+            self.rac_bytes == 0 || self.rac_bytes.is_power_of_two(),
+            "rac_bytes must be 0 or a power of two"
         );
         assert!(self.policy.initial_threshold >= 1);
         self.controller.validate();
@@ -244,6 +258,26 @@ mod tests {
     fn tiny_rac_rejected() {
         let cfg = SimConfig {
             rac_bytes: 64,
+            ..SimConfig::default()
+        };
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "rac_bytes must be 0 or a power of two")]
+    fn non_power_of_two_rac_rejected() {
+        let cfg = SimConfig {
+            rac_bytes: 192,
+            ..SimConfig::default()
+        };
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "l1_ways lines must fit in l1_bytes")]
+    fn more_l1_ways_than_lines_rejected() {
+        let cfg = SimConfig {
+            l1_ways: 512,
             ..SimConfig::default()
         };
         cfg.validate();

@@ -14,7 +14,7 @@
 //!   `Sink::ENABLED == false`, so every emission site compiles away and an
 //!   uninstrumented run is bit-identical to the pre-instrumentation
 //!   simulator;
-//! * recording sinks: the compact, lossless [`EventLog`] (about 7 bytes
+//! * recording sinks: the compact, lossless [`EventLog`] (about 5 bytes
 //!   per event, decoded on iteration), [`RingSink`], [`JsonlSink`];
 //! * [`BatchSink`], which batches events to a second thread that owns
 //!   the real sink stack, so recording and folding run beside the
