@@ -1,58 +1,39 @@
-//! CLI driver for the protocol model checker and conformance gates.
+//! CLI driver for the conformance, liveness and fault gates over the
+//! production proto/vm/mem state machines (built only with `--features
+//! check`, which compiles in the fault hooks the gates seed).
 //!
-//! Three subcommands (the first one is the default when omitted):
+//! Four subcommands (the first one is the default when omitted):
 //!
-//! * `model` — the PR 3 gate over the message-level protocol model:
-//!   every smoke configuration must explore completely with zero
-//!   violations, and every seeded protocol mutation must be *detected*.
-//!   Counterexamples are ddmin-shrunk before being written as JSONL
-//!   under `--out-dir` (default `counterexamples/`).
-//! * `conform` — the same gate over the **production** proto/vm/mem
-//!   state machines (requires `--features check`): every conformance
-//!   configuration is explored twice, exhaustively (BFS) and with DPOR,
-//!   which must agree on cleanliness while DPOR visits strictly fewer
-//!   states; every seeded production fault must be caught and shrunk.
-//! * `liveness` — lasso search over the conformance configurations
-//!   (requires `--features check`): clean configurations must be free
-//!   of non-progress cycles *with the max-back-off latch actually
-//!   covered*, and the seeded `skip-reset` fault must produce a
-//!   livelock witness.
-//! * `faults` — the bounded-fault gate (requires `--features check`):
-//!   every conformance configuration explores completely with `k ∈
-//!   {0,1,2}` injected faults (drop/duplicate/crash/shard-loss) and zero
-//!   violations, recovery is provably lasso-free (no crash→rejoin or
-//!   lose→rebuild livelock), and every seeded recovery bug must be
-//!   caught with a ddmin-shrunk counterexample.
+//! * `conform` — every conformance configuration is explored twice,
+//!   exhaustively (BFS) and with DPOR, which must agree on cleanliness
+//!   while DPOR visits strictly fewer states; every seeded production
+//!   fault must be caught.  Counterexamples are ddmin-shrunk before
+//!   being written as JSONL under `--out-dir` (default
+//!   `counterexamples/`).
+//! * `liveness` — lasso search over the conformance configurations:
+//!   clean configurations must be free of non-progress cycles *with the
+//!   max-back-off latch actually covered*, and the seeded `skip-reset`
+//!   fault must produce a livelock witness.
+//! * `faults` — the bounded-fault gate: every conformance configuration
+//!   explores completely with `k ∈ {0,1,2}` injected faults
+//!   (drop/duplicate/crash/shard-loss) and zero violations, recovery is
+//!   provably lasso-free (no crash→rejoin or lose→rebuild livelock), and
+//!   every seeded recovery bug must be caught with a ddmin-shrunk
+//!   counterexample.
 //! * `soak` — a seeded random fault walk over a configuration larger
 //!   than the exhaustive gates reach, reporting action-kind coverage and
 //!   writing a deterministic JSON summary (default
 //!   `results/FAULT_soak.json`) that `bench report` renders.
-//!
-//! A single model configuration can still be explored explicitly:
-//!
-//! ```text
-//! model_check --nodes 3 --pages 2 --blocks-per-page 1 --ops 2 [--mutation skip-inval]
-//! ```
 
-use ascoma_check::model::{ModelConfig, ModelHarness, Mutation};
+use ascoma_check::conform::{ConformAction, ConformConfig, ConformHarness, ConformMutation};
+use ascoma_check::explore::{bfs, dpor};
+use ascoma_check::liveness::find_lasso;
 use ascoma_check::shrink::shrink;
-use ascoma_check::{explore, replay_on, Counterexample, ExploreOutcome};
+use ascoma_check::{replay_on, Cex, Harness, Lasso};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const DEFAULT_MAX_STATES: usize = 4_000_000;
-
-/// The reference configuration mutations are seeded into: big enough to
-/// exercise forwarding, invalidation fan-out and queuing.
-fn mutation_reference() -> ModelConfig {
-    ModelConfig {
-        nodes: 3,
-        pages: 1,
-        blocks_per_page: 1,
-        ops_per_node: 2,
-        mutation: None,
-    }
-}
 
 fn write_trace(dir: &Path, label: &str, jsonl: &str) {
     if let Err(e) = std::fs::create_dir_all(dir) {
@@ -67,121 +48,217 @@ fn write_trace(dir: &Path, label: &str, jsonl: &str) {
     }
 }
 
-fn report(cfg: &ModelConfig, out: &ExploreOutcome) {
-    println!(
-        "{}: {} states, {} transitions, depth {}{}",
-        cfg.label(),
-        out.states,
-        out.transitions,
-        out.depth,
-        if out.complete { "" } else { " (incomplete)" },
-    );
-}
-
-/// Shrink a model counterexample and re-derive its detail string from
-/// the minimized replay (the original detail may mention steps that were
-/// dropped).
-fn shrunk_model_cex(cfg: &ModelConfig, cex: &Counterexample) -> Counterexample {
-    let h = ModelHarness::new(*cfg);
-    let trace = shrink(&h, &cex.invariant, &cex.detail, &cex.trace);
-    let detail = match replay_on(&h, &trace) {
-        Some((_, d)) => d,
-        None => cex.detail.clone(),
+/// The configuration each production fault is seeded into: the
+/// smallest clean configuration whose action set can expose it.
+fn fault_config(m: ConformMutation) -> ConformConfig {
+    let base = match m {
+        // A stale L1 line or a lost forward needs only two nodes sharing
+        // one block.
+        ConformMutation::SkipInval | ConformMutation::SkipForward => {
+            ConformConfig::coherence(2, 1, 1, 2)
+        }
+        // Frame accounting faults need remap/evict traffic.
+        _ => ConformConfig::remap(2, 2, 1, 3),
     };
-    Counterexample {
-        invariant: cex.invariant.clone(),
-        detail,
-        trace,
-    }
-}
-
-/// Run one clean configuration; returns false on any violation or an
-/// incomplete exploration.
-fn run_clean(cfg: &ModelConfig, max_states: usize, out_dir: &Path) -> bool {
-    let out = explore(cfg, max_states);
-    report(cfg, &out);
-    if let Some(cex) = &out.violation {
-        let small = shrunk_model_cex(cfg, cex);
-        println!(
-            "  VIOLATION [{}] {} ({} steps, shrunk from {})",
-            small.invariant,
-            small.detail,
-            small.trace.len(),
-            cex.trace.len()
-        );
-        write_trace(out_dir, &cfg.label(), &small.to_jsonl());
-        return false;
-    }
-    if !out.complete {
-        println!("  INCOMPLETE: state cap {max_states} hit");
-        return false;
-    }
-    true
-}
-
-/// Run one mutated configuration; returns false if the seeded bug is NOT
-/// caught.  The shrunk counterexample trace is always written (it
-/// documents what the checker sees when the protocol is broken).
-fn run_mutation(m: Mutation, max_states: usize, out_dir: &Path) -> bool {
-    let cfg = ModelConfig {
+    ConformConfig {
         mutation: Some(m),
-        ..mutation_reference()
-    };
-    let out = explore(&cfg, max_states);
-    report(&cfg, &out);
-    match &out.violation {
-        Some(cex) => {
-            let small = shrunk_model_cex(&cfg, cex);
-            println!(
-                "  detected [{}] {} ({} steps, shrunk from {})",
-                small.invariant,
-                small.detail,
-                small.trace.len(),
-                cex.trace.len()
-            );
-            write_trace(out_dir, &cfg.label(), &small.to_jsonl());
-            true
-        }
-        None => {
-            println!("  NOT DETECTED: mutation {} escaped the checker", m.name());
-            false
-        }
+        ..base
     }
 }
 
-/// Conformance gate: explore the production state machines.  Compiled
-/// only with the `check` feature (the fault hooks it seeds live behind
-/// `cfg(feature = "check")` in the proto/vm crates).
-#[cfg(feature = "check")]
-mod production {
-    use super::write_trace;
-    use ascoma_check::conform::{ConformConfig, ConformHarness, ConformMutation};
-    use ascoma_check::explore::{bfs, dpor};
-    use ascoma_check::liveness::find_lasso;
-    use ascoma_check::shrink::shrink;
-    use ascoma_check::{replay_on, Cex, Harness};
-    use std::path::Path;
-
-    /// The configuration each production fault is seeded into: the
-    /// smallest clean configuration whose action set can expose it.
-    fn fault_config(m: ConformMutation) -> ConformConfig {
-        let base = match m {
-            // A stale L1 line needs only two nodes sharing one block.
-            ConformMutation::SkipInval => ConformConfig::coherence(2, 1, 1, 2),
-            // Frame accounting faults need remap/evict traffic.
-            _ => ConformConfig::remap(2, 2, 1, 3),
+/// `conform` subcommand body.
+fn conform(max_states: usize, out_dir: &Path) -> bool {
+    let mut ok = true;
+    println!("== clean conformance configurations (BFS vs DPOR)");
+    for cfg in ConformConfig::smoke_suite() {
+        let h = ConformHarness::new(cfg);
+        let full = bfs(&h, max_states);
+        let reduced = dpor(&h, max_states);
+        let pct = if full.states > 0 {
+            100.0 * reduced.states as f64 / full.states as f64
+        } else {
+            100.0
         };
-        ConformConfig {
-            mutation: Some(m),
-            ..base
+        println!(
+            "{}: BFS {} states / {} transitions, DPOR {} states ({pct:.1}%){}",
+            cfg.label(),
+            full.states,
+            full.transitions,
+            reduced.states,
+            if full.complete && reduced.complete {
+                ""
+            } else {
+                " (incomplete)"
+            },
+        );
+        if !full.complete || !reduced.complete {
+            println!("  INCOMPLETE: state cap {max_states} hit");
+            ok = false;
+            continue;
+        }
+        for (engine, cex) in [("BFS", &full.violation), ("DPOR", &reduced.violation)] {
+            if let Some(cex) = cex {
+                println!(
+                    "  VIOLATION ({engine}) [{}] {} ({} steps)",
+                    cex.invariant,
+                    cex.detail,
+                    cex.trace.len()
+                );
+                write_trace(out_dir, &cfg.label(), &cex.to_jsonl(&h));
+                ok = false;
+            }
+        }
+        if full.violation.is_none() && reduced.states >= full.states {
+            println!(
+                "  NO REDUCTION: DPOR {} states >= BFS {}",
+                reduced.states, full.states
+            );
+            ok = false;
         }
     }
+    println!("== seeded production faults (must be detected)");
+    for m in ConformMutation::SAFETY {
+        let cfg = fault_config(m);
+        let h = ConformHarness::new(cfg);
+        let out = bfs(&h, max_states);
+        match out.violation {
+            Some(cex) => {
+                let trace = shrink(&h, &cex.invariant, &cex.detail, &cex.trace);
+                let detail = match replay_on(&h, &trace) {
+                    Some((_, d)) => d,
+                    None => cex.detail.clone(),
+                };
+                println!(
+                    "{}: detected [{}] {} ({} steps, shrunk from {})",
+                    cfg.label(),
+                    cex.invariant,
+                    detail,
+                    trace.len(),
+                    cex.trace.len()
+                );
+                let small = Cex {
+                    invariant: cex.invariant,
+                    detail,
+                    trace,
+                };
+                write_trace(out_dir, &cfg.label(), &small.to_jsonl(&h));
+            }
+            None => {
+                println!(
+                    "{}: NOT DETECTED: fault {} escaped the checker",
+                    cfg.label(),
+                    m.name()
+                );
+                ok = false;
+            }
+        }
+    }
+    ok
+}
 
-    /// `conform` subcommand body.
-    pub fn conform(max_states: usize, out_dir: &Path) -> bool {
-        let mut ok = true;
-        println!("== clean conformance configurations (BFS vs DPOR)");
-        for cfg in ConformConfig::smoke_suite() {
+/// `liveness` subcommand body.
+fn liveness(max_states: usize, out_dir: &Path) -> bool {
+    let mut ok = true;
+    println!("== livelock freedom (clean configurations)");
+    for cfg in ConformConfig::liveness_suite() {
+        let h = ConformHarness::new(cfg);
+        let out = match find_lasso(&h, max_states, |s| s.any_relocation_disabled()) {
+            Ok(out) => out,
+            Err(e) => {
+                println!("{}: ERROR: {e}", cfg.label());
+                ok = false;
+                continue;
+            }
+        };
+        println!(
+            "{}: {} states, {} transitions, {} latched states{}",
+            cfg.label(),
+            out.states,
+            out.transitions,
+            out.interesting,
+            if out.complete { "" } else { " (incomplete)" },
+        );
+        if !out.complete {
+            println!("  INCOMPLETE: state cap {max_states} hit — proves nothing");
+            ok = false;
+            continue;
+        }
+        if let Some(lasso) = &out.lasso {
+            println!(
+                "  LIVELOCK: stem {} + cycle {} actions",
+                lasso.stem.len(),
+                lasso.cycle.len()
+            );
+            write_trace(
+                out_dir,
+                &format!("{}-lasso", cfg.label()),
+                &lasso_jsonl(&h, lasso),
+            );
+            ok = false;
+        }
+        if cfg.pageout && out.interesting == 0 {
+            println!("  VACUOUS: max back-off latch never reached");
+            ok = false;
+        }
+    }
+    println!("== seeded livelock (must be found)");
+    let cfg = ConformConfig {
+        mutation: Some(ConformMutation::SkipReset),
+        ..ConformConfig::remap(2, 2, 1, 3)
+    };
+    let h = ConformHarness::new(cfg);
+    match find_lasso(&h, max_states, |_| false) {
+        Ok(out) => match out.lasso {
+            Some(lasso) => {
+                println!(
+                    "{}: livelock found (stem {} + cycle {} actions)",
+                    cfg.label(),
+                    lasso.stem.len(),
+                    lasso.cycle.len()
+                );
+                write_trace(
+                    out_dir,
+                    &format!("{}-lasso", cfg.label()),
+                    &lasso_jsonl(&h, &lasso),
+                );
+            }
+            None => {
+                println!("{}: NOT FOUND: skip-reset livelock escaped", cfg.label());
+                ok = false;
+            }
+        },
+        Err(e) => {
+            println!("{}: ERROR: {e}", cfg.label());
+            ok = false;
+        }
+    }
+    ok
+}
+
+/// The configuration each seeded *recovery* bug is seeded into: the
+/// smallest fault-enabled configuration whose action set can expose
+/// it.  Directory bugs need only crash (purge) or lose/rebuild
+/// traffic; rejoin bugs need a node that held an S-COMA page or a
+/// page-cache frame when it died, so they ride the remap config.
+fn recovery_fault_config(m: ConformMutation) -> ConformConfig {
+    let base = match m {
+        ConformMutation::RebuildSkipsDirty | ConformMutation::PurgeSkipsBlock => {
+            ConformConfig::coherence(2, 1, 1, 2)
+        }
+        _ => ConformConfig::remap(2, 2, 1, 3),
+    };
+    ConformConfig {
+        mutation: Some(m),
+        ..base.with_faults(1)
+    }
+}
+
+/// `faults` subcommand body: the bounded-fault conformance gate.
+fn faults(max_states: usize, out_dir: &Path) -> bool {
+    let mut ok = true;
+    println!("== bounded-fault conformance (k faults per run, BFS vs DPOR)");
+    for k in 0..=2u8 {
+        for cfg in ConformConfig::fault_suite(k) {
             let h = ConformHarness::new(cfg);
             let full = bfs(&h, max_states);
             let reduced = dpor(&h, max_states);
@@ -202,6 +279,7 @@ mod production {
                     " (incomplete)"
                 },
             );
+            println!("  kinds: {}", full.kinds_summary());
             if !full.complete || !reduced.complete {
                 println!("  INCOMPLETE: state cap {max_states} hit");
                 ok = false;
@@ -219,434 +297,242 @@ mod production {
                     ok = false;
                 }
             }
-            if full.violation.is_none() && reduced.states >= full.states {
+            // DPOR must agree and never expand the space.  The
+            // fault layer's budget coupling makes most fault pairs
+            // dependent, so a strict reduction is not guaranteed at
+            // k > 0 (the plain `conform` gate keeps the strict
+            // check at k = 0).
+            if full.violation.is_none() && reduced.states > full.states {
                 println!(
-                    "  NO REDUCTION: DPOR {} states >= BFS {}",
+                    "  EXPANSION: DPOR {} states > BFS {}",
                     reduced.states, full.states
                 );
                 ok = false;
             }
-        }
-        println!("== seeded production faults (must be detected)");
-        for m in ConformMutation::SAFETY {
-            let cfg = fault_config(m);
-            let h = ConformHarness::new(cfg);
-            let out = bfs(&h, max_states);
-            match out.violation {
-                Some(cex) => {
-                    let trace = shrink(&h, &cex.invariant, &cex.detail, &cex.trace);
-                    let detail = match replay_on(&h, &trace) {
-                        Some((_, d)) => d,
-                        None => cex.detail.clone(),
-                    };
-                    println!(
-                        "{}: detected [{}] {} ({} steps, shrunk from {})",
-                        cfg.label(),
-                        cex.invariant,
-                        detail,
-                        trace.len(),
-                        cex.trace.len()
-                    );
-                    let small = Cex {
-                        invariant: cex.invariant,
-                        detail,
-                        trace,
-                    };
-                    write_trace(out_dir, &cfg.label(), &small.to_jsonl(&h));
-                }
-                None => {
-                    println!(
-                        "{}: NOT DETECTED: fault {} escaped the checker",
-                        cfg.label(),
-                        m.name()
-                    );
+            // Coverage: a fault-enabled run must actually take fault
+            // and recovery transitions, or the gate proves nothing.
+            if k > 0 {
+                let took = |prefix: &str| {
+                    full.kinds
+                        .iter()
+                        .any(|(kind, n)| kind.starts_with(prefix) && *n > 0)
+                };
+                if !took("fault-") || !took("recover-") {
+                    println!("  VACUOUS: no fault/recovery transitions explored");
                     ok = false;
                 }
             }
         }
-        ok
     }
-
-    /// `liveness` subcommand body.
-    pub fn liveness(max_states: usize, out_dir: &Path) -> bool {
-        let mut ok = true;
-        println!("== livelock freedom (clean configurations)");
-        for cfg in ConformConfig::liveness_suite() {
-            let h = ConformHarness::new(cfg);
-            let out = match find_lasso(&h, max_states, |s| s.any_relocation_disabled()) {
-                Ok(out) => out,
-                Err(e) => {
-                    println!("{}: ERROR: {e}", cfg.label());
-                    ok = false;
-                    continue;
-                }
-            };
-            println!(
-                "{}: {} states, {} transitions, {} latched states{}",
-                cfg.label(),
-                out.states,
-                out.transitions,
-                out.interesting,
-                if out.complete { "" } else { " (incomplete)" },
-            );
-            if !out.complete {
-                println!("  INCOMPLETE: state cap {max_states} hit — proves nothing");
-                ok = false;
-                continue;
-            }
-            if let Some(lasso) = &out.lasso {
-                println!(
-                    "  LIVELOCK: stem {} + cycle {} actions",
-                    lasso.stem.len(),
-                    lasso.cycle.len()
-                );
-                write_trace(
-                    out_dir,
-                    &format!("{}-lasso", cfg.label()),
-                    &lasso_jsonl(&h, lasso),
-                );
-                ok = false;
-            }
-            if cfg.pageout && out.interesting == 0 {
-                println!("  VACUOUS: max back-off latch never reached");
-                ok = false;
-            }
-        }
-        println!("== seeded livelock (must be found)");
-        let cfg = ConformConfig {
-            mutation: Some(ConformMutation::SkipReset),
-            ..ConformConfig::remap(2, 2, 1, 3)
-        };
+    println!("== recovery liveness (crash/rejoin and lose/rebuild must terminate)");
+    for cfg in ConformConfig::fault_liveness_suite() {
         let h = ConformHarness::new(cfg);
-        match find_lasso(&h, max_states, |_| false) {
-            Ok(out) => match out.lasso {
-                Some(lasso) => {
-                    println!(
-                        "{}: livelock found (stem {} + cycle {} actions)",
-                        cfg.label(),
-                        lasso.stem.len(),
-                        lasso.cycle.len()
-                    );
-                    write_trace(
-                        out_dir,
-                        &format!("{}-lasso", cfg.label()),
-                        &lasso_jsonl(&h, &lasso),
-                    );
-                }
-                None => {
-                    println!("{}: NOT FOUND: skip-reset livelock escaped", cfg.label());
-                    ok = false;
-                }
-            },
+        let out = match find_lasso(&h, max_states, |s| s.any_node_down()) {
+            Ok(out) => out,
             Err(e) => {
                 println!("{}: ERROR: {e}", cfg.label());
                 ok = false;
-            }
-        }
-        ok
-    }
-
-    /// The configuration each seeded *recovery* bug is seeded into: the
-    /// smallest fault-enabled configuration whose action set can expose
-    /// it.  Directory bugs need only crash (purge) or lose/rebuild
-    /// traffic; rejoin bugs need a node that held an S-COMA page or a
-    /// page-cache frame when it died, so they ride the remap config.
-    fn recovery_fault_config(m: ConformMutation) -> ConformConfig {
-        let base = match m {
-            ConformMutation::RebuildSkipsDirty | ConformMutation::PurgeSkipsBlock => {
-                ConformConfig::coherence(2, 1, 1, 2)
-            }
-            _ => ConformConfig::remap(2, 2, 1, 3),
-        };
-        ConformConfig {
-            mutation: Some(m),
-            ..base.with_faults(1)
-        }
-    }
-
-    /// `faults` subcommand body: the bounded-fault conformance gate.
-    pub fn faults(max_states: usize, out_dir: &Path) -> bool {
-        use ascoma_check::conform::ConformAction;
-        let mut ok = true;
-        println!("== bounded-fault conformance (k faults per run, BFS vs DPOR)");
-        for k in 0..=2u8 {
-            for cfg in ConformConfig::fault_suite(k) {
-                let h = ConformHarness::new(cfg);
-                let full = bfs(&h, max_states);
-                let reduced = dpor(&h, max_states);
-                let pct = if full.states > 0 {
-                    100.0 * reduced.states as f64 / full.states as f64
-                } else {
-                    100.0
-                };
-                println!(
-                    "{}: BFS {} states / {} transitions, DPOR {} states ({pct:.1}%){}",
-                    cfg.label(),
-                    full.states,
-                    full.transitions,
-                    reduced.states,
-                    if full.complete && reduced.complete {
-                        ""
-                    } else {
-                        " (incomplete)"
-                    },
-                );
-                println!("  kinds: {}", full.kinds_summary());
-                if !full.complete || !reduced.complete {
-                    println!("  INCOMPLETE: state cap {max_states} hit");
-                    ok = false;
-                    continue;
-                }
-                for (engine, cex) in [("BFS", &full.violation), ("DPOR", &reduced.violation)] {
-                    if let Some(cex) = cex {
-                        println!(
-                            "  VIOLATION ({engine}) [{}] {} ({} steps)",
-                            cex.invariant,
-                            cex.detail,
-                            cex.trace.len()
-                        );
-                        write_trace(out_dir, &cfg.label(), &cex.to_jsonl(&h));
-                        ok = false;
-                    }
-                }
-                // DPOR must agree and never expand the space.  The
-                // fault layer's budget coupling makes most fault pairs
-                // dependent, so a strict reduction is not guaranteed at
-                // k > 0 (the plain `conform` gate keeps the strict
-                // check at k = 0).
-                if full.violation.is_none() && reduced.states > full.states {
-                    println!(
-                        "  EXPANSION: DPOR {} states > BFS {}",
-                        reduced.states, full.states
-                    );
-                    ok = false;
-                }
-                // Coverage: a fault-enabled run must actually take fault
-                // and recovery transitions, or the gate proves nothing.
-                if k > 0 {
-                    let took = |prefix: &str| {
-                        full.kinds
-                            .iter()
-                            .any(|(kind, n)| kind.starts_with(prefix) && *n > 0)
-                    };
-                    if !took("fault-") || !took("recover-") {
-                        println!("  VACUOUS: no fault/recovery transitions explored");
-                        ok = false;
-                    }
-                }
-            }
-        }
-        println!("== recovery liveness (crash/rejoin and lose/rebuild must terminate)");
-        for cfg in ConformConfig::fault_liveness_suite() {
-            let h = ConformHarness::new(cfg);
-            let out = match find_lasso(&h, max_states, |s| s.any_node_down()) {
-                Ok(out) => out,
-                Err(e) => {
-                    println!("{}: ERROR: {e}", cfg.label());
-                    ok = false;
-                    continue;
-                }
-            };
-            println!(
-                "{}: {} states, {} transitions, {} crashed states{}",
-                cfg.label(),
-                out.states,
-                out.transitions,
-                out.interesting,
-                if out.complete { "" } else { " (incomplete)" },
-            );
-            if !out.complete {
-                println!("  INCOMPLETE: state cap {max_states} hit — proves nothing");
-                ok = false;
                 continue;
             }
-            if let Some(lasso) = &out.lasso {
-                println!(
-                    "  LIVELOCK: stem {} + cycle {} actions",
-                    lasso.stem.len(),
-                    lasso.cycle.len()
-                );
-                write_trace(
-                    out_dir,
-                    &format!("{}-lasso", cfg.label()),
-                    &lasso_jsonl(&h, lasso),
-                );
-                ok = false;
-            }
-            if out.interesting == 0 {
-                println!("  VACUOUS: no crashed state ever reached");
-                ok = false;
-            }
+        };
+        println!(
+            "{}: {} states, {} transitions, {} crashed states{}",
+            cfg.label(),
+            out.states,
+            out.transitions,
+            out.interesting,
+            if out.complete { "" } else { " (incomplete)" },
+        );
+        if !out.complete {
+            println!("  INCOMPLETE: state cap {max_states} hit — proves nothing");
+            ok = false;
+            continue;
         }
-        println!("== seeded recovery faults (must be detected)");
-        for m in ConformMutation::RECOVERY {
-            let cfg = recovery_fault_config(m);
-            let h = ConformHarness::new(cfg);
-            let out = bfs(&h, max_states);
-            match out.violation {
-                Some(cex) => {
-                    let trace = shrink(&h, &cex.invariant, &cex.detail, &cex.trace);
-                    let detail = match replay_on(&h, &trace) {
-                        Some((_, d)) => d,
-                        None => cex.detail.clone(),
-                    };
-                    // A recovery bug's minimized witness must still
-                    // contain the fault that triggered it.
-                    let has_fault = trace.iter().any(|a| {
-                        matches!(
-                            a,
-                            ConformAction::Crash { .. }
-                                | ConformAction::LoseShard { .. }
-                                | ConformAction::DropMsg { .. }
-                                | ConformAction::DupMsg { .. }
-                        )
-                    });
-                    println!(
-                        "{}: detected [{}] {} ({} steps, shrunk from {})",
-                        cfg.label(),
-                        cex.invariant,
-                        detail,
-                        trace.len(),
-                        cex.trace.len()
-                    );
-                    if !has_fault {
-                        println!("  BAD SHRINK: minimized trace lost its fault schedule");
-                        ok = false;
-                    }
-                    let small = Cex {
-                        invariant: cex.invariant,
-                        detail,
-                        trace,
-                    };
-                    write_trace(out_dir, &cfg.label(), &small.to_jsonl(&h));
-                }
-                None => {
-                    println!(
-                        "{}: NOT DETECTED: recovery fault {} escaped the checker",
-                        cfg.label(),
-                        m.name()
-                    );
+        if let Some(lasso) = &out.lasso {
+            println!(
+                "  LIVELOCK: stem {} + cycle {} actions",
+                lasso.stem.len(),
+                lasso.cycle.len()
+            );
+            write_trace(
+                out_dir,
+                &format!("{}-lasso", cfg.label()),
+                &lasso_jsonl(&h, lasso),
+            );
+            ok = false;
+        }
+        if out.interesting == 0 {
+            println!("  VACUOUS: no crashed state ever reached");
+            ok = false;
+        }
+    }
+    println!("== seeded recovery faults (must be detected)");
+    for m in ConformMutation::RECOVERY {
+        let cfg = recovery_fault_config(m);
+        let h = ConformHarness::new(cfg);
+        let out = bfs(&h, max_states);
+        match out.violation {
+            Some(cex) => {
+                let trace = shrink(&h, &cex.invariant, &cex.detail, &cex.trace);
+                let detail = match replay_on(&h, &trace) {
+                    Some((_, d)) => d,
+                    None => cex.detail.clone(),
+                };
+                // A recovery bug's minimized witness must still
+                // contain the fault that triggered it.
+                let has_fault = trace.iter().any(|a| {
+                    matches!(
+                        a,
+                        ConformAction::Crash { .. }
+                            | ConformAction::LoseShard { .. }
+                            | ConformAction::DropMsg { .. }
+                            | ConformAction::DupMsg { .. }
+                    )
+                });
+                println!(
+                    "{}: detected [{}] {} ({} steps, shrunk from {})",
+                    cfg.label(),
+                    cex.invariant,
+                    detail,
+                    trace.len(),
+                    cex.trace.len()
+                );
+                if !has_fault {
+                    println!("  BAD SHRINK: minimized trace lost its fault schedule");
                     ok = false;
                 }
-            }
-        }
-        ok
-    }
-
-    /// `soak` subcommand body: a seeded random fault walk over a
-    /// configuration larger than the exhaustive gates reach.  Every
-    /// state along every walk is checked against the full catalog; the
-    /// summary JSON is deterministic for a given seed (wall-clock time
-    /// is the only advisory field).
-    // Wall-clock allow: `soak_wall_ms` is a measured advisory field of the
-    // summary, exactly like the bench harness timings (audited in
-    // scripts/check.sh).
-    #[allow(clippy::disallowed_methods)]
-    pub fn soak(seed: u64, walks: usize, steps: usize, out_path: &Path) -> bool {
-        use ascoma_sim::rng::SimRng;
-        use std::collections::BTreeMap;
-        use std::time::Instant;
-
-        let cfg = ConformConfig::ascoma(3, 2, 2, 4).with_faults(3);
-        let h = ConformHarness::new(cfg);
-        let mut rng = SimRng::seed_from(seed);
-        let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut total_steps = 0u64;
-        let mut violations = 0u64;
-        let mut first_violation: Option<(String, String)> = None;
-        let started = Instant::now();
-        for _ in 0..walks {
-            let mut s = h.initial();
-            for _ in 0..steps {
-                let acts = h.enabled(&s);
-                if acts.is_empty() {
-                    break;
-                }
-                let a = acts[rng.below(acts.len() as u64) as usize];
-                s = match h.step(&s, &a) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        println!("soak: enabled action refused: {e}");
-                        violations += 1;
-                        break;
-                    }
+                let small = Cex {
+                    invariant: cex.invariant,
+                    detail,
+                    trace,
                 };
-                *kinds.entry(h.action_kind(&a)).or_insert(0) += 1;
-                total_steps += 1;
-                if let Err((inv, detail)) = h.check(&s) {
+                write_trace(out_dir, &cfg.label(), &small.to_jsonl(&h));
+            }
+            None => {
+                println!(
+                    "{}: NOT DETECTED: recovery fault {} escaped the checker",
+                    cfg.label(),
+                    m.name()
+                );
+                ok = false;
+            }
+        }
+    }
+    ok
+}
+
+/// `soak` subcommand body: a seeded random fault walk over a
+/// configuration larger than the exhaustive gates reach.  Every
+/// state along every walk is checked against the full catalog; the
+/// summary JSON is deterministic for a given seed (wall-clock time
+/// is the only advisory field).
+// Wall-clock allow: `soak_wall_ms` is a measured advisory field of the
+// summary, exactly like the bench harness timings (audited in
+// scripts/check.sh).
+#[allow(clippy::disallowed_methods)]
+fn soak(seed: u64, walks: usize, steps: usize, out_path: &Path) -> bool {
+    use ascoma_sim::rng::SimRng;
+    use std::collections::BTreeMap;
+    use std::time::Instant;
+
+    let cfg = ConformConfig::ascoma(3, 2, 2, 4).with_faults(3);
+    let h = ConformHarness::new(cfg);
+    let mut rng = SimRng::seed_from(seed);
+    let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut total_steps = 0u64;
+    let mut violations = 0u64;
+    let mut first_violation: Option<(String, String)> = None;
+    let started = Instant::now();
+    for _ in 0..walks {
+        let mut s = h.initial();
+        for _ in 0..steps {
+            let acts = h.enabled(&s);
+            if acts.is_empty() {
+                break;
+            }
+            let a = acts[rng.below(acts.len() as u64) as usize];
+            s = match h.step(&s, &a) {
+                Ok(t) => t,
+                Err(e) => {
+                    println!("soak: enabled action refused: {e}");
                     violations += 1;
-                    if first_violation.is_none() {
-                        println!("soak: VIOLATION [{inv}] {detail}");
-                        first_violation = Some((inv, detail));
-                    }
                     break;
                 }
-            }
-        }
-        let wall_ms = started.elapsed().as_millis() as u64;
-        let faults_injected: u64 = kinds
-            .iter()
-            .filter(|(k, _)| k.starts_with("fault-"))
-            .map(|(_, n)| n)
-            .sum();
-        let recoveries: u64 = kinds
-            .iter()
-            .filter(|(k, _)| k.starts_with("recover-"))
-            .map(|(_, n)| n)
-            .sum();
-        let kind_fields: Vec<String> = kinds
-            .iter()
-            .map(|(k, n)| format!("    \"{k}\": {n}"))
-            .collect();
-        let json = format!(
-            "{{\n  \"experiment\": \"fault_soak\",\n  \"config\": \"{}\",\n  \
-             \"seed\": {seed},\n  \"walks\": {walks},\n  \"steps_per_walk\": {steps},\n  \
-             \"soak_steps\": {total_steps},\n  \"faults_injected\": {faults_injected},\n  \
-             \"recoveries\": {recoveries},\n  \"soak_violations\": {violations},\n  \
-             \"soak_wall_ms\": {wall_ms},\n  \"kinds\": {{\n{}\n  }}\n}}\n",
-            cfg.label(),
-            kind_fields.join(",\n"),
-        );
-        if let Some(dir) = out_path.parent() {
-            if !dir.as_os_str().is_empty() {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    println!("soak: cannot create {}: {e}", dir.display());
-                    return false;
+            };
+            *kinds.entry(h.action_kind(&a)).or_insert(0) += 1;
+            total_steps += 1;
+            if let Err((inv, detail)) = h.check(&s) {
+                violations += 1;
+                if first_violation.is_none() {
+                    println!("soak: VIOLATION [{inv}] {detail}");
+                    first_violation = Some((inv, detail));
                 }
+                break;
             }
         }
-        if let Err(e) = std::fs::write(out_path, &json) {
-            println!("soak: cannot write {}: {e}", out_path.display());
-            return false;
-        }
-        println!(
-            "soak: {} walks x {} steps = {} transitions, {} faults injected, \
-             {} recoveries, {} violations ({} ms)",
-            walks, steps, total_steps, faults_injected, recoveries, violations, wall_ms
-        );
-        println!("  summary written to {}", out_path.display());
-        violations == 0
     }
+    let wall_ms = started.elapsed().as_millis() as u64;
+    let faults_injected: u64 = kinds
+        .iter()
+        .filter(|(k, _)| k.starts_with("fault-"))
+        .map(|(_, n)| n)
+        .sum();
+    let recoveries: u64 = kinds
+        .iter()
+        .filter(|(k, _)| k.starts_with("recover-"))
+        .map(|(_, n)| n)
+        .sum();
+    let kind_fields: Vec<String> = kinds
+        .iter()
+        .map(|(k, n)| format!("    \"{k}\": {n}"))
+        .collect();
+    let json = format!(
+        "{{\n  \"experiment\": \"fault_soak\",\n  \"config\": \"{}\",\n  \
+         \"seed\": {seed},\n  \"walks\": {walks},\n  \"steps_per_walk\": {steps},\n  \
+         \"soak_steps\": {total_steps},\n  \"faults_injected\": {faults_injected},\n  \
+         \"recoveries\": {recoveries},\n  \"soak_violations\": {violations},\n  \
+         \"soak_wall_ms\": {wall_ms},\n  \"kinds\": {{\n{}\n  }}\n}}\n",
+        cfg.label(),
+        kind_fields.join(",\n"),
+    );
+    if let Some(dir) = out_path.parent() {
+        if !dir.as_os_str().is_empty() {
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                println!("soak: cannot create {}: {e}", dir.display());
+                return false;
+            }
+        }
+    }
+    if let Err(e) = std::fs::write(out_path, &json) {
+        println!("soak: cannot write {}: {e}", out_path.display());
+        return false;
+    }
+    println!(
+        "soak: {} walks x {} steps = {} transitions, {} faults injected, \
+         {} recoveries, {} violations ({} ms)",
+        walks, steps, total_steps, faults_injected, recoveries, violations, wall_ms
+    );
+    println!("  summary written to {}", out_path.display());
+    violations == 0
+}
 
-    /// Render a lasso as JSONL: a header, the stem actions, then the
-    /// cycle actions (step numbering continues through the cycle).
-    fn lasso_jsonl<H: Harness>(h: &H, lasso: &ascoma_check::Lasso<H::Action>) -> String {
-        let mut out = format!(
-            "{{\"lasso\":true,\"stem\":{},\"cycle\":{}}}\n",
-            lasso.stem.len(),
-            lasso.cycle.len()
-        );
-        for (i, a) in lasso.stem.iter().chain(lasso.cycle.iter()).enumerate() {
-            out.push_str(&h.action_json(a, i));
-            out.push('\n');
-        }
-        out
+/// Render a lasso as JSONL: a header, the stem actions, then the
+/// cycle actions (step numbering continues through the cycle).
+fn lasso_jsonl<H: Harness>(h: &H, lasso: &Lasso<H::Action>) -> String {
+    let mut out = format!(
+        "{{\"lasso\":true,\"stem\":{},\"cycle\":{}}}\n",
+        lasso.stem.len(),
+        lasso.cycle.len()
+    );
+    for (i, a) in lasso.stem.iter().chain(lasso.cycle.iter()).enumerate() {
+        out.push_str(&h.action_json(a, i));
+        out.push('\n');
     }
+    out
 }
 
 #[derive(Clone, Copy, PartialEq)]
 enum Cmd {
-    Model,
     Conform,
     Liveness,
     Faults,
@@ -655,11 +541,6 @@ enum Cmd {
 
 struct Args {
     cmd: Cmd,
-    nodes: Option<u8>,
-    pages: u8,
-    blocks_per_page: u8,
-    ops: u8,
-    mutation: Option<Mutation>,
     max_states: usize,
     out_dir: PathBuf,
     seed: u64,
@@ -670,12 +551,7 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        cmd: Cmd::Model,
-        nodes: None,
-        pages: 1,
-        blocks_per_page: 1,
-        ops: 2,
-        mutation: None,
+        cmd: Cmd::Conform,
         max_states: DEFAULT_MAX_STATES,
         out_dir: PathBuf::from("counterexamples"),
         seed: 0xA5C0_0A5C,
@@ -685,46 +561,25 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1).peekable();
     if let Some(first) = it.peek() {
-        match first.as_str() {
-            "model" => {
-                args.cmd = Cmd::Model;
-                it.next();
-            }
-            "conform" => {
-                args.cmd = Cmd::Conform;
-                it.next();
-            }
-            "liveness" => {
-                args.cmd = Cmd::Liveness;
-                it.next();
-            }
-            "faults" => {
-                args.cmd = Cmd::Faults;
-                it.next();
-            }
-            "soak" => {
-                args.cmd = Cmd::Soak;
-                it.next();
-            }
-            _ => {}
+        let cmd = match first.as_str() {
+            "conform" => Some(Cmd::Conform),
+            "liveness" => Some(Cmd::Liveness),
+            "faults" => Some(Cmd::Faults),
+            "soak" => Some(Cmd::Soak),
+            _ => None,
+        };
+        if let Some(cmd) = cmd {
+            args.cmd = cmd;
+            it.next();
         }
     }
     while let Some(flag) = it.next() {
         let mut val = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
-            "--nodes" => args.nodes = Some(parse_num(&val("--nodes")?)?),
-            "--pages" => args.pages = parse_num(&val("--pages")?)?,
-            "--blocks-per-page" => args.blocks_per_page = parse_num(&val("--blocks-per-page")?)?,
-            "--ops" => args.ops = parse_num(&val("--ops")?)?,
             "--max-states" => {
                 args.max_states = val("--max-states")?
                     .parse()
                     .map_err(|e| format!("bad --max-states: {e}"))?;
-            }
-            "--mutation" => {
-                let v = val("--mutation")?;
-                args.mutation =
-                    Some(Mutation::parse(&v).ok_or_else(|| format!("unknown mutation {v}"))?);
             }
             "--out-dir" => args.out_dir = PathBuf::from(val("--out-dir")?),
             "--seed" => {
@@ -749,58 +604,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn parse_num(s: &str) -> Result<u8, String> {
-    s.parse().map_err(|e| format!("bad number {s:?}: {e}"))
-}
-
-fn run_model(args: &Args) -> bool {
-    let mut ok = true;
-    match args.nodes {
-        // Explicit single configuration.
-        Some(nodes) => {
-            let cfg = ModelConfig {
-                nodes,
-                pages: args.pages,
-                blocks_per_page: args.blocks_per_page,
-                ops_per_node: args.ops,
-                mutation: args.mutation,
-            };
-            ok = match args.mutation {
-                // A mutated run *passes* when the bug is detected.
-                Some(_) => {
-                    let out = explore(&cfg, args.max_states);
-                    report(&cfg, &out);
-                    match &out.violation {
-                        Some(cex) => {
-                            let small = shrunk_model_cex(&cfg, cex);
-                            println!("  detected [{}] {}", small.invariant, small.detail);
-                            write_trace(&args.out_dir, &cfg.label(), &small.to_jsonl());
-                            true
-                        }
-                        None => {
-                            println!("  NOT DETECTED");
-                            false
-                        }
-                    }
-                }
-                None => run_clean(&cfg, args.max_states, &args.out_dir),
-            };
-        }
-        // CI gate: smoke suite + mutation matrix.
-        None => {
-            println!("== clean smoke configurations");
-            for cfg in ModelConfig::smoke_suite() {
-                ok &= run_clean(&cfg, args.max_states, &args.out_dir);
-            }
-            println!("== seeded mutations (must be detected)");
-            for m in Mutation::ALL {
-                ok &= run_mutation(m, args.max_states, &args.out_dir);
-            }
-        }
-    }
-    ok
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -811,24 +614,10 @@ fn main() -> ExitCode {
     };
 
     let ok = match args.cmd {
-        Cmd::Model => run_model(&args),
-        #[cfg(feature = "check")]
-        Cmd::Conform => production::conform(args.max_states, &args.out_dir),
-        #[cfg(feature = "check")]
-        Cmd::Liveness => production::liveness(args.max_states, &args.out_dir),
-        #[cfg(feature = "check")]
-        Cmd::Faults => production::faults(args.max_states, &args.out_dir),
-        #[cfg(feature = "check")]
-        Cmd::Soak => production::soak(args.seed, args.walks, args.steps, &args.soak_out),
-        #[cfg(not(feature = "check"))]
-        Cmd::Conform | Cmd::Liveness | Cmd::Faults | Cmd::Soak => {
-            eprintln!(
-                "model_check: this subcommand drives the production state machines and \
-                 needs the fault hooks; rebuild with `cargo build -p ascoma-check \
-                 --features check --bin model_check`"
-            );
-            false
-        }
+        Cmd::Conform => conform(args.max_states, &args.out_dir),
+        Cmd::Liveness => liveness(args.max_states, &args.out_dir),
+        Cmd::Faults => faults(args.max_states, &args.out_dir),
+        Cmd::Soak => soak(args.seed, args.walks, args.steps, &args.soak_out),
     };
 
     if ok {

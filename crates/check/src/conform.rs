@@ -68,6 +68,9 @@ pub enum ConformMutation {
     /// [`DirFault::SkipInvalidation`]: the directory drops one victim
     /// from a write fetch's invalidation set — a stale copy survives.
     SkipInval,
+    /// [`DirFault::SkipForward`]: a read of a dirty block never forwards
+    /// to the owner — the owner keeps a dirty copy it no longer owns.
+    SkipForward,
     /// [`FramePool::inject_leak_release`]: released frames vanish —
     /// frame conservation breaks after the first eviction.
     LeakFrame,
@@ -100,8 +103,9 @@ impl ConformMutation {
     /// The safety mutations (caught by an invariant on some reachable
     /// state).  [`ConformMutation::SkipReset`] is the liveness mutation,
     /// exercised separately via lasso detection.
-    pub const SAFETY: [ConformMutation; 3] = [
+    pub const SAFETY: [ConformMutation; 4] = [
         ConformMutation::SkipInval,
+        ConformMutation::SkipForward,
         ConformMutation::LeakFrame,
         ConformMutation::ResidencyLeak,
     ];
@@ -115,10 +119,11 @@ impl ConformMutation {
         ConformMutation::RejoinShortPool,
     ];
 
-    /// Stable identifier used in labels and CLI arguments.
+    /// Stable identifier used in configuration labels and gate output.
     pub fn name(self) -> &'static str {
         match self {
             ConformMutation::SkipInval => "skip-inval",
+            ConformMutation::SkipForward => "skip-forward",
             ConformMutation::LeakFrame => "leak-frame",
             ConformMutation::ResidencyLeak => "residency-leak",
             ConformMutation::SkipReset => "skip-reset",
@@ -127,22 +132,6 @@ impl ConformMutation {
             ConformMutation::RejoinStaleTlb => "rejoin-stale-tlb",
             ConformMutation::RejoinShortPool => "rejoin-short-pool",
         }
-    }
-
-    /// Parse a [`ConformMutation::name`] back.
-    pub fn parse(s: &str) -> Option<ConformMutation> {
-        [
-            ConformMutation::SkipInval,
-            ConformMutation::LeakFrame,
-            ConformMutation::ResidencyLeak,
-            ConformMutation::SkipReset,
-            ConformMutation::RebuildSkipsDirty,
-            ConformMutation::PurgeSkipsBlock,
-            ConformMutation::RejoinStaleTlb,
-            ConformMutation::RejoinShortPool,
-        ]
-        .into_iter()
-        .find(|m| m.name() == s)
     }
 }
 
@@ -615,6 +604,7 @@ impl Harness for ConformHarness {
         let mut dir = Directory::new(self.geometry, cfg.pages as u64, cfg.nodes as usize);
         match cfg.mutation {
             Some(ConformMutation::SkipInval) => dir.inject_fault(Some(DirFault::SkipInvalidation)),
+            Some(ConformMutation::SkipForward) => dir.inject_fault(Some(DirFault::SkipForward)),
             Some(ConformMutation::SkipReset) => dir.inject_fault(Some(DirFault::SkipRefetchReset)),
             Some(ConformMutation::RebuildSkipsDirty) => {
                 dir.inject_fault(Some(DirFault::RebuildSkipsDirty))

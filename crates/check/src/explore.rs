@@ -16,13 +16,8 @@
 //! relation; the conformance gate runs BFS and DPOR side by side on
 //! every configuration and asserts they agree on the presence of
 //! violations (see DESIGN.md §15 for the soundness discussion).
-//!
-//! The legacy PR 3 entry points ([`explore`], [`replay`],
-//! [`Counterexample`]) are preserved verbatim as thin wrappers over the
-//! generic engines driving [`crate::model::ModelHarness`].
 
 use crate::harness::Harness;
-use crate::model::{Action, ModelConfig, ModelHarness};
 use std::collections::{BTreeMap, HashMap};
 
 /// A path from the initial state of a harness to a violating state.
@@ -443,142 +438,55 @@ pub fn replay_on<H: Harness>(h: &H, trace: &[H::Action]) -> Option<(String, Stri
     None
 }
 
-/// A minimal-depth path from the initial state of the protocol model to
-/// a violating state (legacy PR 3 interface).
-#[derive(Debug, Clone)]
-pub struct Counterexample {
-    /// Name of the violated invariant (or the illegal-transition class).
-    pub invariant: String,
-    /// Human-readable description of the failure.
-    pub detail: String,
-    /// The action sequence reproducing the violation from the initial
-    /// state.
-    pub trace: Vec<Action>,
-}
-
-impl Counterexample {
-    /// Render the trace as JSONL (one action per line, obs-style), with a
-    /// header line naming the invariant — the artifact CI uploads.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"counterexample\":{:?},\"detail\":{:?},\"steps\":{}}}\n",
-            self.invariant,
-            self.detail,
-            self.trace.len()
-        );
-        for (i, a) in self.trace.iter().enumerate() {
-            out.push_str(&a.to_json(i));
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// What a model exploration covered, and what (if anything) it found
-/// (legacy PR 3 interface).
-#[derive(Debug, Clone)]
-pub struct ExploreOutcome {
-    /// Distinct reachable states visited.
-    pub states: usize,
-    /// Transitions applied (including ones reaching known states).
-    pub transitions: usize,
-    /// Maximum BFS depth reached.
-    pub depth: usize,
-    /// Whether the full reachable space was covered (false: state cap hit).
-    pub complete: bool,
-    /// The first (minimal-depth) violation, if any.
-    pub violation: Option<Counterexample>,
-}
-
-/// Explore every reachable state of `cfg`'s protocol model breadth-first,
-/// checking every invariant in every state, up to `max_states` distinct
-/// states.
-pub fn explore(cfg: &ModelConfig, max_states: usize) -> ExploreOutcome {
-    let h = ModelHarness::new(*cfg);
-    let out = bfs(&h, max_states);
-    ExploreOutcome {
-        states: out.states,
-        transitions: out.transitions,
-        depth: out.depth,
-        complete: out.complete,
-        violation: out.violation.map(|c| Counterexample {
-            invariant: c.invariant,
-            detail: c.detail,
-            trace: c.trace,
-        }),
-    }
-}
-
-/// Re-apply a counterexample trace on the protocol model (legacy PR 3
-/// interface; see [`replay_on`]).
-pub fn replay(cfg: &ModelConfig, trace: &[Action]) -> Option<(String, String)> {
-    replay_on(&ModelHarness::new(*cfg), trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Mutation;
+    use crate::toy::Toy;
 
     #[test]
     fn trivial_config_is_clean_and_complete() {
-        let cfg = ModelConfig {
-            nodes: 2,
-            pages: 1,
-            blocks_per_page: 1,
-            ops_per_node: 1,
-            mutation: None,
-        };
-        let out = explore(&cfg, 1_000_000);
+        let out = bfs(&Toy::clean(2), 1_000);
         assert!(out.violation.is_none(), "violation: {:?}", out.violation);
         assert!(out.complete, "state cap hit on a trivial config");
-        assert!(out.states > 10, "suspiciously small space: {}", out.states);
+        assert_eq!(out.states, 16, "two lanes of 0..=3");
+        assert_eq!(out.depth, 6);
     }
 
     #[test]
     fn exploration_is_deterministic() {
-        let cfg = ModelConfig {
-            nodes: 2,
-            pages: 1,
-            blocks_per_page: 2,
-            ops_per_node: 1,
-            mutation: None,
-        };
-        let a = explore(&cfg, 1_000_000);
-        let b = explore(&cfg, 1_000_000);
-        assert_eq!(a.states, b.states);
-        assert_eq!(a.transitions, b.transitions);
-        assert_eq!(a.depth, b.depth);
+        let h = Toy::clean(3);
+        for engine in [bfs::<Toy>, dpor::<Toy>] {
+            let a = engine(&h, 1_000);
+            let b = engine(&h, 1_000);
+            assert_eq!(a.states, b.states);
+            assert_eq!(a.transitions, b.transitions);
+            assert_eq!(a.depth, b.depth);
+        }
     }
 
     #[test]
     fn mutation_counterexample_replays() {
-        let cfg = ModelConfig {
-            nodes: 2,
-            pages: 1,
-            blocks_per_page: 1,
-            ops_per_node: 2,
-            mutation: Some(Mutation::SkipInvalidation),
-        };
-        let out = explore(&cfg, 1_000_000);
+        let h = Toy::seeded();
+        let out = bfs(&h, 1_000);
         let cex = out.violation.expect("mutation must be caught");
-        assert!(!cex.trace.is_empty());
-        let replayed = replay(&cfg, &cex.trace).expect("trace must reproduce");
+        assert_eq!(cex.trace.len(), 2, "BFS trace is minimal-depth");
+        let replayed = replay_on(&h, &cex.trace).expect("trace must reproduce");
         assert_eq!(replayed.0, cex.invariant);
+        // The artifact: a header line, then one balanced JSON object per
+        // step.
+        let jsonl = cex.to_jsonl(&h);
+        assert_eq!(jsonl.lines().count(), cex.trace.len() + 1);
+        assert!(jsonl.starts_with("{\"counterexample\":\"toy-bound\""));
+        for line in jsonl.lines() {
+            assert_eq!(line.matches('"').count() % 2, 0, "unbalanced: {line}");
+        }
     }
 
     #[test]
     fn dpor_visits_a_subset_and_agrees_on_cleanliness() {
-        let cfg = ModelConfig {
-            nodes: 2,
-            pages: 1,
-            blocks_per_page: 2,
-            ops_per_node: 1,
-            mutation: None,
-        };
-        let h = ModelHarness::new(cfg);
-        let full = bfs(&h, 10_000_000);
-        let reduced = dpor(&h, 10_000_000);
+        let h = Toy::clean(2);
+        let full = bfs(&h, 1_000);
+        let reduced = dpor(&h, 1_000);
         assert!(full.complete && reduced.complete);
         assert!(full.violation.is_none());
         assert!(reduced.violation.is_none());
@@ -588,19 +496,14 @@ mod tests {
             reduced.states,
             full.states
         );
+        // Lanes commute, so one order survives: lane 0 to 3, then lane 1.
+        assert_eq!(reduced.states, 7);
     }
 
     #[test]
     fn dpor_finds_the_seeded_mutation() {
-        let cfg = ModelConfig {
-            nodes: 2,
-            pages: 1,
-            blocks_per_page: 1,
-            ops_per_node: 2,
-            mutation: Some(Mutation::SkipInvalidation),
-        };
-        let h = ModelHarness::new(cfg);
-        let out = dpor(&h, 10_000_000);
+        let h = Toy::seeded();
+        let out = dpor(&h, 1_000);
         let cex = out.violation.expect("DPOR must catch the mutation");
         let replayed = replay_on(&h, &cex.trace).expect("trace must reproduce");
         assert_eq!(replayed.0, cex.invariant);

@@ -1,12 +1,11 @@
 //! The [`Harness`] trait: anything the explorers can drive.
 //!
-//! PR 3's checker explored a hand-written protocol model.  The harness
-//! abstraction decouples the exploration engines ([`crate::explore`],
-//! [`crate::liveness`]) from *what* is being explored, so the same BFS
-//! and DPOR machinery runs over the legacy model
-//! ([`crate::model::ModelHarness`]) and over the **production**
-//! `proto`/`vm`/`mem` state machines (`crate::conform`, behind the
-//! `check` feature).
+//! The harness abstraction decouples the exploration engines
+//! ([`crate::explore`], [`crate::liveness`], [`crate::shrink`]) from
+//! *what* is being explored.  Its one implementation is the
+//! conformance harness over the **production** `proto`/`vm`/`mem`
+//! state machines (`crate::conform`, behind the `check` feature); the
+//! engines' own unit tests run on a hand-checkable toy counter harness.
 //!
 //! A harness supplies four things:
 //!

@@ -4,7 +4,7 @@
 //! software back-off (PAPER.md §1) — lives entirely in coupled state
 //! machines: the MSI directory protocol, per-node page-mode transitions,
 //! and frame-pool accounting.  This crate is the layer that *proves* those
-//! machines stay coherent, three ways:
+//! machines stay coherent, in four parts:
 //!
 //! 1. **Invariant catalog** ([`invariant`], [`checkers`]) — an
 //!    [`Invariant`] trait plus ~10 concrete checkers run against a
@@ -21,19 +21,16 @@
 //!    livelock (a reachable cycle of non-progress actions).
 //!    Counterexamples are ddmin-minimized by [`shrink`] before they are
 //!    written as artifacts.
-//! 3. **Protocol model** ([`model`]) — a small-configuration,
-//!    message-level model of the directory protocol (2–3 nodes, a
-//!    handful of blocks, arbitrary delivery order), packaged as a
-//!    harness ([`model::ModelHarness`]).
-//! 4. **Conformance checking** ([`conform`], `check` feature) — the same
-//!    engines over the **production** `proto`/`vm`/`mem` state machines:
-//!    real `Directory` fetches, page-table remaps, frame-pool
+//! 3. **Conformance checking** ([`conform`], `check` feature) — the
+//!    engines' one harness: the **production** `proto`/`vm`/`mem` state
+//!    machines — real `Directory` fetches, page-table remaps, frame-pool
 //!    accounting, pageout-daemon victim selection, and back-off
-//!    automaton, with the PR 3 catalog checked in every explored state.
-//! 5. **Mutation self-tests** ([`model::Mutation`],
-//!    [`conform::ConformMutation`]) — known bugs are injectable (in the
-//!    model, and via `cfg(feature = "check")` fault hooks in the
-//!    production crates) so the test suite can assert the checkers
+//!    automaton — with the invariant catalog checked in every explored
+//!    state.  There is no separate protocol model: the checker explores
+//!    exactly the code the simulator runs.
+//! 4. **Mutation self-tests** ([`conform::ConformMutation`]) — known bugs
+//!    are injectable via `cfg(feature = "check")` fault hooks in the
+//!    production crates, so the test suite can assert the checkers
 //!    actually catch them.
 //!
 //! The lint/sanitizer half of the correctness gate is `scripts/check.sh`
@@ -48,14 +45,14 @@ pub mod explore;
 pub mod harness;
 pub mod invariant;
 pub mod liveness;
-pub mod model;
 pub mod shrink;
+#[cfg(test)]
+mod toy;
 pub mod view;
 
-pub use explore::{bfs, dpor, explore, replay_on, Cex, Counterexample, ExploreOutcome, Outcome};
+pub use explore::{bfs, dpor, replay_on, Cex, Outcome};
 pub use harness::Harness;
 pub use invariant::{assert_all, catalog, check_all, Invariant, Violation};
 pub use liveness::{find_lasso, Lasso, LivenessOutcome};
-pub use model::{ModelConfig, ModelHarness, Mutation};
 pub use shrink::shrink;
 pub use view::{MachineView, NodeView};

@@ -192,79 +192,11 @@ fn find_np_cycle<H: Harness>(np_edges: &[Vec<(H::Action, u32)>]) -> Option<(u32,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Harness;
-
-    /// A toy harness: a counter 0..=3 with a progress `Inc` action, plus
-    /// an optional non-progress `Spin` self-loop at 2 and a non-progress
-    /// 2 -> 1 back edge forming a longer loop with a (non-progress)
-    /// 1 -> 2 hop.
-    struct Toy {
-        with_cycle: bool,
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum ToyAction {
-        Inc,
-        Hop,
-        Back,
-    }
-
-    impl Harness for Toy {
-        type State = u64;
-        type Action = ToyAction;
-
-        fn initial(&self) -> u64 {
-            0
-        }
-
-        fn enabled(&self, s: &u64) -> Vec<ToyAction> {
-            let mut acts = Vec::new();
-            if *s < 3 {
-                acts.push(ToyAction::Inc);
-            }
-            if self.with_cycle {
-                if *s == 1 {
-                    acts.push(ToyAction::Hop);
-                }
-                if *s == 2 {
-                    acts.push(ToyAction::Back);
-                }
-            }
-            acts
-        }
-
-        fn step(&self, s: &u64, a: &ToyAction) -> Result<u64, String> {
-            Ok(match a {
-                ToyAction::Inc => s + 1,
-                ToyAction::Hop => 2,
-                ToyAction::Back => 1,
-            })
-        }
-
-        fn check(&self, _: &u64) -> Result<(), (String, String)> {
-            Ok(())
-        }
-
-        fn canon(&self, s: &u64) -> Vec<u64> {
-            vec![*s]
-        }
-
-        fn dependent(&self, _: &ToyAction, _: &ToyAction) -> bool {
-            true
-        }
-
-        fn is_progress(&self, a: &ToyAction) -> bool {
-            matches!(a, ToyAction::Inc)
-        }
-
-        fn action_json(&self, a: &ToyAction, step: usize) -> String {
-            format!("{{\"step\":{step},\"action\":{a:?}\"}}")
-        }
-    }
+    use crate::toy::{Toy, ToyAction};
 
     #[test]
     fn acyclic_progress_graph_has_no_lasso() {
-        let out = find_lasso(&Toy { with_cycle: false }, 1_000, |_| true).unwrap();
+        let out = find_lasso(&Toy::clean(1), 1_000, |_| true).unwrap();
         assert!(out.complete);
         assert!(out.lasso.is_none());
         assert_eq!(out.states, 4);
@@ -273,7 +205,11 @@ mod tests {
 
     #[test]
     fn non_progress_cycle_is_found_with_stem() {
-        let out = find_lasso(&Toy { with_cycle: true }, 1_000, |s| *s == 2).unwrap();
+        let h = Toy {
+            with_cycle: true,
+            ..Toy::clean(1)
+        };
+        let out = find_lasso(&h, 1_000, |s| s[0] == 2).unwrap();
         assert!(out.complete);
         let lasso = out.lasso.expect("cycle must be found");
         assert!(!lasso.cycle.is_empty());
@@ -281,14 +217,13 @@ mod tests {
         assert!(lasso
             .cycle
             .iter()
-            .all(|a| matches!(a, ToyAction::Hop | ToyAction::Back)));
+            .all(|a| matches!(a, ToyAction::Hop(_) | ToyAction::Back(_))));
         // Replaying stem + cycle returns to the cycle entry state.
-        let h = Toy { with_cycle: true };
         let mut s = h.initial();
         for a in &lasso.stem {
             s = h.step(&s, a).unwrap();
         }
-        let entry = s;
+        let entry = s.clone();
         for a in &lasso.cycle {
             s = h.step(&s, a).unwrap();
         }

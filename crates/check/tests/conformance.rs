@@ -78,13 +78,20 @@ fn relocation_configs_actually_relocate() {
 
 #[test]
 fn seeded_production_faults_are_caught_and_shrink() {
-    let cases: [(ConformConfig, &[&str]); 3] = [
+    let cases: [(ConformConfig, &[&str]); 4] = [
         (
             ConformConfig {
                 mutation: Some(ConformMutation::SkipInval),
                 ..ConformConfig::coherence(2, 1, 1, 2)
             },
             &["l1-directory-agreement", "directory-cache-agreement"],
+        ),
+        (
+            ConformConfig {
+                mutation: Some(ConformMutation::SkipForward),
+                ..ConformConfig::coherence(2, 1, 1, 2)
+            },
+            &["l1-ownership"],
         ),
         (
             ConformConfig {

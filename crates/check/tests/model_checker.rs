@@ -1,121 +1,253 @@
-//! The model-checker acceptance gate:
+//! Counterexample artifacts through the public engine API: every seeded
+//! mutation is caught, its trace replays to the same invariant, and it
+//! renders to the JSONL artifact (a header, then one line per step).
 //!
-//! * every smoke configuration explores its full state space with zero
-//!   invariant violations;
-//! * every seeded protocol mutation is detected, with a counterexample
-//!   trace that replays to the same violation;
-//! * counterexamples are minimal-depth (BFS) and render to JSONL.
+//! The harness built in every configuration is a cache-side *caller* of
+//! the production [`Directory`]: per-node L1 line states for one block,
+//! updated from the directory's real `fetch`/`upgrade` answers.  Its
+//! mutations are caller bugs — mis-applying those answers — so they need
+//! no fault hooks.  With `--features check` the production directory and
+//! frame-pool faults ([`ConformMutation::SAFETY`]) are rendered too.
 
-use ascoma_check::model::{ModelConfig, Mutation};
-use ascoma_check::{explore, explore::replay};
+use ascoma_check::explore::{bfs, dpor, replay_on};
+use ascoma_check::shrink::shrink;
+use ascoma_check::Harness;
+use ascoma_proto::Directory;
+use ascoma_sim::addr::{BlockId, Geometry, VPage};
+use ascoma_sim::NodeId;
 
 const MAX_STATES: usize = 4_000_000;
 
-#[test]
-fn smoke_suite_is_clean_and_exhaustive() {
-    for cfg in ModelConfig::smoke_suite() {
-        let out = explore(&cfg, MAX_STATES);
-        assert!(
-            out.complete,
-            "{}: state cap hit at {} states",
-            cfg.label(),
-            out.states
-        );
-        assert!(
-            out.violation.is_none(),
-            "{}: unexpected violation {:?}",
-            cfg.label(),
-            out.violation
-        );
-        // An exhaustive run of a concurrent protocol is never tiny; a
-        // collapsed space would mean the enumerator lost interleavings.
-        assert!(
-            out.states > 50,
-            "{}: implausibly small space ({} states)",
-            cfg.label(),
-            out.states
-        );
+/// The one block every caller action touches.
+const BLOCK: BlockId = BlockId(0);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Line {
+    Invalid,
+    Shared,
+    Modified,
+}
+
+/// A caller that mis-applies one kind of directory answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CallerBug {
+    /// A write applies all but the first invalidation it is handed.
+    DropInvalidation,
+    /// A read served by a 3-hop forward leaves the old owner `Modified`.
+    IgnoreForward,
+}
+
+impl CallerBug {
+    const ALL: [CallerBug; 2] = [CallerBug::DropInvalidation, CallerBug::IgnoreForward];
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    Read(u16),
+    Write(u16),
+}
+
+struct Caller {
+    nodes: u16,
+    ops_per_node: u8,
+    bug: Option<CallerBug>,
+}
+
+#[derive(Clone)]
+struct CallerState {
+    dir: Directory,
+    lines: Vec<Line>,
+    ops_left: Vec<u8>,
+}
+
+impl Harness for Caller {
+    type State = CallerState;
+    type Action = Op;
+
+    fn initial(&self) -> CallerState {
+        let n = self.nodes as usize;
+        CallerState {
+            dir: Directory::new(Geometry::new(4096, 128, 32), 1, n),
+            lines: vec![Line::Invalid; n],
+            ops_left: vec![self.ops_per_node; n],
+        }
+    }
+
+    fn enabled(&self, s: &CallerState) -> Vec<Op> {
+        let mut acts = Vec::new();
+        for n in 0..self.nodes {
+            if s.ops_left[n as usize] == 0 {
+                continue;
+            }
+            match s.lines[n as usize] {
+                Line::Invalid => acts.extend([Op::Read(n), Op::Write(n)]),
+                Line::Shared => acts.push(Op::Write(n)),
+                Line::Modified => {}
+            }
+        }
+        acts
+    }
+
+    fn step(&self, s: &CallerState, a: &Op) -> Result<CallerState, String> {
+        let mut t = s.clone();
+        let (Op::Read(n) | Op::Write(n)) = *a;
+        let node = NodeId(n);
+        t.ops_left[n as usize] -= 1;
+        match *a {
+            Op::Read(_) => {
+                let out = t.dir.fetch(node, BLOCK, false);
+                if let Some(owner) = out.forward_from {
+                    if self.bug != Some(CallerBug::IgnoreForward) {
+                        t.lines[owner.idx()] = Line::Shared;
+                    }
+                }
+                t.lines[n as usize] = Line::Shared;
+            }
+            Op::Write(_) => {
+                let invalidate = if s.lines[n as usize] == Line::Shared {
+                    t.dir.upgrade(node, BLOCK)
+                } else {
+                    t.dir.fetch(node, BLOCK, true).invalidate
+                };
+                let skip = usize::from(self.bug == Some(CallerBug::DropInvalidation));
+                for victim in invalidate.iter().skip(skip) {
+                    t.lines[victim.idx()] = Line::Invalid;
+                }
+                t.lines[n as usize] = Line::Modified;
+            }
+        }
+        Ok(t)
+    }
+
+    fn check(&self, s: &CallerState) -> Result<(), (String, String)> {
+        let writers = s.lines.iter().filter(|&&l| l == Line::Modified).count();
+        let holders = s.lines.iter().filter(|&&l| l != Line::Invalid).count();
+        if writers > 1 || (writers == 1 && holders > 1) {
+            return Err(("swmr".to_string(), format!("lines {:?}", s.lines)));
+        }
+        for (n, &line) in s.lines.iter().enumerate() {
+            let node = NodeId(n as u16);
+            let owns = s.dir.owner_of(BLOCK) == Some(node);
+            if (line != Line::Invalid && !s.dir.in_copyset(node, BLOCK))
+                || ((line == Line::Modified) != owns)
+            {
+                return Err((
+                    "directory-cache-agreement".to_string(),
+                    format!("node {n} holds {line:?}, directory owner {owns}"),
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    fn canon(&self, s: &CallerState) -> Vec<u64> {
+        let mut v = vec![
+            s.dir.copyset_of(BLOCK).0,
+            s.dir.owner_of(BLOCK).map_or(0, |o| o.idx() as u64 + 1),
+            s.dir.ever_of(BLOCK).0,
+            s.dir.induced_of(BLOCK).0,
+            s.dir.page_written(VPage(0)) as u64,
+        ];
+        for n in 0..self.nodes {
+            v.push(s.dir.refetch_count(VPage(0), NodeId(n)) as u64);
+            v.push(s.lines[n as usize] as u64);
+            v.push(s.ops_left[n as usize] as u64);
+        }
+        v
+    }
+
+    fn dependent(&self, _: &Op, _: &Op) -> bool {
+        // Every action reads and writes the one directory entry.
+        true
+    }
+
+    fn action_json(&self, a: &Op, step: usize) -> String {
+        let (op, n) = match *a {
+            Op::Read(n) => ("read", n),
+            Op::Write(n) => ("write", n),
+        };
+        format!("{{\"step\":{step},\"op\":\"{op}\",\"node\":{n}}}")
     }
 }
 
-#[test]
-fn smoke_suite_includes_required_config() {
-    // Acceptance floor: at least 2 nodes x 2 pages explored exhaustively.
-    assert!(ModelConfig::smoke_suite()
-        .iter()
-        .any(|c| c.nodes >= 2 && c.pages >= 2));
-}
-
-fn mutated(m: Mutation) -> ModelConfig {
-    ModelConfig {
-        nodes: 3,
-        pages: 1,
-        blocks_per_page: 1,
-        ops_per_node: 2,
-        mutation: Some(m),
-    }
-}
-
-#[test]
-fn skip_invalidation_is_detected() {
-    let cfg = mutated(Mutation::SkipInvalidation);
-    let out = explore(&cfg, MAX_STATES);
-    let cex = out.violation.expect("skipped invalidation must be caught");
-    // A stale shared copy survives outside the copyset: agreement (or,
-    // later along the trace, version coherence) must fire.
+/// BFS and DPOR both catch the fault in `h`; the BFS trace and its
+/// shrunk form replay to the same invariant, and the artifact renders
+/// one balanced JSON line per step under its header.
+fn assert_caught_replays_and_renders<H: Harness>(h: &H, label: &str) {
+    let out = bfs(h, MAX_STATES);
+    let cex = out
+        .violation
+        .unwrap_or_else(|| panic!("{label}: not detected"));
+    assert!(!cex.trace.is_empty(), "{label}: empty trace");
+    let (inv, _) =
+        replay_on(h, &cex.trace).unwrap_or_else(|| panic!("{label}: trace replays clean"));
+    assert_eq!(inv, cex.invariant, "{label}: replay diverges");
+    let small = shrink(h, &cex.invariant, &cex.detail, &cex.trace);
+    assert!(small.len() <= cex.trace.len(), "{label}: shrink grew");
+    let (inv, _) =
+        replay_on(h, &small).unwrap_or_else(|| panic!("{label}: shrunk trace replays clean"));
+    assert_eq!(inv, cex.invariant, "{label}: shrunk replay diverges");
     assert!(
-        cex.invariant == "directory-cache-agreement" || cex.invariant == "version-coherence",
-        "unexpected invariant: {}",
-        cex.invariant
+        dpor(h, MAX_STATES).violation.is_some(),
+        "{label}: DPOR missed it"
     );
-}
-
-#[test]
-fn drop_inval_ack_deadlocks() {
-    let cfg = mutated(Mutation::DropInvalAck);
-    let out = explore(&cfg, MAX_STATES);
-    let cex = out.violation.expect("dropped ack must be caught");
-    assert_eq!(cex.invariant, "request-conservation");
-}
-
-#[test]
-fn skip_owner_forward_serves_stale_data() {
-    let cfg = mutated(Mutation::SkipOwnerForward);
-    let out = explore(&cfg, MAX_STATES);
-    let cex = out.violation.expect("stale read must be caught");
-    assert_eq!(cex.invariant, "illegal-transition");
-    assert!(cex.detail.contains("stale read"), "detail: {}", cex.detail);
+    let jsonl = cex.to_jsonl(h);
+    assert_eq!(jsonl.lines().count(), cex.trace.len() + 1, "{label}");
+    assert!(
+        jsonl.starts_with(&format!("{{\"counterexample\":{:?}", cex.invariant)),
+        "{label}: header {jsonl}"
+    );
+    for line in jsonl.lines() {
+        assert!(
+            line.starts_with('{') && line.ends_with('}'),
+            "{label}: {line}"
+        );
+        assert_eq!(
+            line.matches('"').count() % 2,
+            0,
+            "{label}: unbalanced {line}"
+        );
+    }
 }
 
 #[test]
 fn every_mutation_counterexample_replays_and_renders() {
-    for m in Mutation::ALL {
-        let cfg = mutated(m);
-        let out = explore(&cfg, MAX_STATES);
-        let cex = out
-            .violation
-            .unwrap_or_else(|| panic!("{}: not detected", m.name()));
-        assert!(!cex.trace.is_empty(), "{}: empty trace", m.name());
-        let (inv, _) =
-            replay(&cfg, &cex.trace).unwrap_or_else(|| panic!("{}: trace replays clean", m.name()));
-        assert_eq!(inv, cex.invariant, "{}: replay diverges", m.name());
-        let jsonl = cex.to_jsonl();
-        assert!(jsonl.lines().count() == cex.trace.len() + 1);
-        assert!(jsonl.starts_with("{\"counterexample\":"));
-    }
-}
-
-#[test]
-fn counterexamples_are_shallow() {
-    // BFS minimality: the first SWMR-family violation appears within a
-    // handful of steps (issue, a few deliveries) — a deep trace would
-    // mean the search is not breadth-first.
-    let cfg = mutated(Mutation::SkipInvalidation);
-    let out = explore(&cfg, MAX_STATES);
-    let cex = out.violation.expect("must be caught");
+    // The correct caller is clean, so each bug's catch is its own.
+    let clean = Caller {
+        nodes: 3,
+        ops_per_node: 2,
+        bug: None,
+    };
+    let out = bfs(&clean, MAX_STATES);
+    assert!(out.complete, "correct caller hit the state cap");
     assert!(
-        cex.trace.len() <= 12,
-        "counterexample unexpectedly deep: {} steps",
-        cex.trace.len()
+        out.violation.is_none(),
+        "correct caller flagged: {:?}",
+        out.violation.map(|v| (v.invariant, v.detail))
     );
+    for bug in CallerBug::ALL {
+        let h = Caller {
+            bug: Some(bug),
+            ..clean
+        };
+        assert_caught_replays_and_renders(&h, &format!("{bug:?}"));
+    }
+
+    #[cfg(feature = "check")]
+    {
+        use ascoma_check::conform::{ConformConfig, ConformHarness, ConformMutation};
+        for m in ConformMutation::SAFETY {
+            let base = match m {
+                ConformMutation::SkipInval | ConformMutation::SkipForward => {
+                    ConformConfig::coherence(2, 1, 1, 2)
+                }
+                _ => ConformConfig::remap(2, 2, 1, 3),
+            };
+            let cfg = ConformConfig {
+                mutation: Some(m),
+                ..base
+            };
+            assert_caught_replays_and_renders(&ConformHarness::new(cfg), m.name());
+        }
+    }
 }

@@ -216,6 +216,13 @@ impl SimConfig {
             "rac_bytes must be 0 or a power of two"
         );
         assert!(self.policy.initial_threshold >= 1);
+        // AS-COMA's back-off reads a threshold above the cap as
+        // relocation latched off; starting there with relocation still
+        // on breaks that latch (the `threshold-legality` invariant).
+        assert!(
+            self.policy.threshold_cap >= self.policy.initial_threshold,
+            "policy.threshold_cap must be at least policy.initial_threshold"
+        );
         self.controller.validate();
     }
 }
@@ -260,6 +267,14 @@ mod tests {
             rac_bytes: 64,
             ..SimConfig::default()
         };
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "policy.threshold_cap must be at least policy.initial_threshold")]
+    fn threshold_above_cap_rejected() {
+        let mut cfg = SimConfig::default();
+        cfg.policy.initial_threshold = cfg.policy.threshold_cap + 1;
         cfg.validate();
     }
 

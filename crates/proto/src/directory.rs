@@ -330,6 +330,11 @@ pub enum DirFault {
     /// invalidation set while still resetting the copyset, leaving that
     /// sharer with a stale valid copy.
     SkipInvalidation,
+    /// `fetch(read)` of a block with a dirty remote owner returns no
+    /// `forward_from`, while the entry still drops the owner: the owner
+    /// is never told to write back and downgrade, so its dirty copy
+    /// outlives its directory ownership.
+    SkipForward,
     /// `reset_refetch` becomes a no-op, so a relocated page's counter
     /// stays hot and the remap/evict cycle never quiesces (livelock).
     SkipRefetchReset,
@@ -460,6 +465,13 @@ impl Directory {
                 }
             }
             invalidate
+        };
+        // Seeded fault: a read of a dirty block skips the 3-hop forward.
+        #[cfg(feature = "check")]
+        let forward_from = if !write && self.fault == Some(DirFault::SkipForward) {
+            None
+        } else {
+            forward_from
         };
 
         // Conditional on purpose: an unconditional read-modify-write would
@@ -1115,6 +1127,20 @@ mod tests {
         assert!(d.copyset_of(b0).is_empty());
         assert_eq!(d.owner_of(b0), None);
         d.validate().expect("empty rebuild is well-formed");
+    }
+
+    #[cfg(feature = "check")]
+    #[test]
+    fn skip_forward_fault_drops_only_the_read_forward() {
+        let mut d = dir();
+        d.inject_fault(Some(DirFault::SkipForward));
+        d.fetch(N0, BlockId(0), true);
+        let out = d.fetch(N1, BlockId(0), false);
+        assert_eq!(out.forward_from, None, "read forward skipped");
+        assert_eq!(d.owner_of(BlockId(0)), None, "owner still dropped");
+        d.fetch(N0, BlockId(1), true);
+        let out = d.fetch(N1, BlockId(1), true);
+        assert_eq!(out.forward_from, Some(N0), "write forward kept");
     }
 
     #[cfg(feature = "check")]

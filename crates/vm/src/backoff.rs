@@ -150,11 +150,13 @@ pub enum DaemonAdjust {
     Hasten,
 }
 
-/// Apply a [`DaemonAdjust`] to a period, clamped to `[initial, 64 * initial]`.
+/// Apply a [`DaemonAdjust`] to a period, clamped to `[initial, 64 * initial]`
+/// (saturating, so a period near `Cycles::MAX` stays put rather than
+/// wrapping).
 pub fn adjust_period(period: Cycles, adj: DaemonAdjust, initial: Cycles) -> Cycles {
     match adj {
         DaemonAdjust::Keep => period,
-        DaemonAdjust::Slow => (period * 2).min(initial * 64),
+        DaemonAdjust::Slow => period.saturating_mul(2).min(initial.saturating_mul(64)),
         DaemonAdjust::Hasten => (period / 2).max(initial),
     }
 }
@@ -234,5 +236,14 @@ mod tests {
         assert_eq!(b.on_daemon_result(false), DaemonAdjust::Keep);
         assert_eq!(b.threshold(), 64);
         assert!(!b.numa_first());
+    }
+
+    #[test]
+    fn period_adjustment_saturates() {
+        assert_eq!(adjust_period(1000, DaemonAdjust::Slow, 1000), 2000);
+        assert_eq!(adjust_period(64_000, DaemonAdjust::Slow, 1000), 64_000);
+        let max = Cycles::MAX;
+        assert_eq!(adjust_period(max, DaemonAdjust::Slow, max), max);
+        assert_eq!(adjust_period(max / 2 + 1, DaemonAdjust::Slow, max / 4), max);
     }
 }

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Correctness gate for the ascoma workspace: formatting, clippy with
-# warnings denied, a panic lint over library code, the protocol model
-# checker (clean smoke suite + seeded-mutation detection), the
-# bounded-fault / recovery gates, and the feature-gated
-# interleaving/churn test suites.
+# warnings denied, a panic lint over library code, the conformance
+# checker over the production protocol state machines (clean suite +
+# seeded-fault detection), the liveness, bounded-fault / recovery and
+# soak gates, and the feature-gated interleaving/churn test suites.
 #
 # Run from anywhere inside the repo:
 #
 #   scripts/check.sh            # everything (CI parity)
-#   scripts/check.sh --fast     # skip the release-mode model checker run
+#   scripts/check.sh --fast     # skip the release-mode checker gates
 #
 # The panic lint denies `.unwrap()` / `.expect(` in library (non-test)
 # code under crates/*/src.  Audited exceptions live in
@@ -129,7 +129,7 @@ if [ "$audit_viol" -ne 0 ]; then
 fi
 echo "wall-clock audit clean"
 
-step "model checker unit + mutation-detection tests"
+step "exploration engine unit tests (BFS, DPOR, lasso, ddmin)"
 cargo test -q -p ascoma-check
 
 step "conformance harness tests (ascoma-check --features check)"
@@ -149,9 +149,6 @@ cargo test -q -p ascoma --test controller
 cargo test -q -p ascoma --features check --test controller
 
 if [ "$fast" -eq 0 ]; then
-    step "model checker CI gate (release): smoke suite + seeded mutations"
-    cargo run -q --release -p ascoma-check --bin model_check
-
     step "conformance gate (release): production machines, BFS vs DPOR"
     cargo run -q --release -p ascoma-check --features check \
         --bin model_check -- conform
@@ -168,7 +165,7 @@ if [ "$fast" -eq 0 ]; then
     cargo run -q --release -p ascoma-check --features check \
         --bin model_check -- soak
 else
-    step "model checker / conformance / liveness / fault gates skipped (--fast)"
+    step "conformance / liveness / fault / soak gates skipped (--fast)"
 fi
 
 printf '\nall checks passed\n'
