@@ -3,7 +3,7 @@
 //! Six variants of the same em3d/AS-COMA run at 70% pressure:
 //!
 //! * `baseline`       — plain `simulate` (no sink type parameter in play);
-//! * `noop_sink`      — `simulate_with_sink(.., NoopSink)`: emission
+//! * `noop_sink`      — `Machine::with_sink(.., NoopSink)`: emission
 //!   sites compiled away; must be within noise of baseline (<2%);
 //! * `log_sink`       — full recording into an `EventLog`, the real cost
 //!   of tracing;
@@ -32,8 +32,8 @@
 //! `cargo bench -p ascoma-bench --bench obs_overhead`.
 
 use ascoma::experiments::{run_cells, Cell};
-use ascoma::machine::{simulate, simulate_measured_streamed, simulate_with_sink};
-use ascoma::{Arch, SimConfig};
+use ascoma::machine::{simulate, simulate_measured_streamed};
+use ascoma::{Arch, Machine, SimConfig};
 use ascoma_obs::{BatchSink, EventLog, NoopSink, Sink, TimedEvent};
 use ascoma_workloads::{App, SizeClass};
 use std::hint::black_box;
@@ -67,20 +67,21 @@ fn main() {
         black_box(simulate(black_box(&trace), Arch::AsComa, black_box(&cfg)));
     };
     let mut run_noop = || {
-        black_box(simulate_with_sink(
-            black_box(&trace),
-            Arch::AsComa,
-            black_box(&cfg),
-            NoopSink,
-        ));
+        black_box(
+            Machine::with_sink(black_box(&trace), Arch::AsComa, black_box(&cfg), NoopSink)
+                .run_into(),
+        );
     };
     let mut run_log = || {
-        black_box(simulate_with_sink(
-            black_box(&trace),
-            Arch::AsComa,
-            black_box(&cfg),
-            EventLog::new(),
-        ));
+        black_box(
+            Machine::with_sink(
+                black_box(&trace),
+                Arch::AsComa,
+                black_box(&cfg),
+                EventLog::new(),
+            )
+            .run_into(),
+        );
     };
     // Streaming disabled (`stream: None`): jobs=1 runs inline, so this
     // measures only what the sweep entry point adds around `simulate`.
@@ -102,12 +103,13 @@ fn main() {
     };
     let mut run_batched = || {
         black_box(std::thread::scope(|scope| {
-            simulate_with_sink(
+            Machine::with_sink(
                 black_box(&trace),
                 Arch::AsComa,
                 black_box(&cfg),
                 BatchSink::spawn(scope, NoopSink),
             )
+            .run_into()
             .1
             .finish()
         }));

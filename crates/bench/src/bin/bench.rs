@@ -28,7 +28,7 @@
 //! not a tty or `TERM=dumb`.
 
 use ascoma::experiments::{figure_grid, run_cells, StreamSpec};
-use ascoma::machine::simulate_measured;
+use ascoma::machine::simulate_measured_streamed;
 use ascoma::{Arch, SimConfig};
 use ascoma_bench::diff::{diff, Severity};
 use ascoma_bench::experiments::{self, REGISTRY, SWEEP};
@@ -160,7 +160,7 @@ fn report_cmd(args: &[String]) {
                      \x20 --app NAME      workload (default em3d)\n\
                      \x20 --size tiny|default|paper (default tiny)\n\
                      \x20 --arch NAME     architecture (default ascoma)\n\
-                     \x20 --pressure P    memory pressure in (0,1] (default 0.7)\n\
+                     \x20 --pressure P    memory pressure in [0.001,1] (default 0.7)\n\
                      \x20 --window N      time-series window, cycles; 0 disables (default {DEFAULT_WINDOW})\n\
                      \x20 --hot N         hot-page table rows (default 20)\n\
                      \x20 --out FILE      write HTML to FILE (default stdout)"
@@ -173,7 +173,8 @@ fn report_cmd(args: &[String]) {
 
     let cfg = SimConfig::at_pressure(o.pressure);
     let trace = o.app.build(o.size, cfg.geometry.page_bytes());
-    let (result, events, registry) = simulate_measured(&trace, o.arch, &cfg, o.window);
+    let (result, events, registry) =
+        simulate_measured_streamed(&trace, o.arch, &cfg, o.window, 0, |_| {});
     let html = render_html(&result, &registry, o.hot);
     match &o.out {
         Some(path) => {

@@ -18,7 +18,7 @@
 //!     --app em3d --pressure 0.7 --summary
 //! ```
 
-use ascoma::machine::simulate_traced;
+use ascoma::machine::simulate_measured_streamed;
 use ascoma::{Arch, SimConfig};
 use ascoma_bench::{die, num, pressure, text, usage, value, Flag, Options};
 use ascoma_obs::export::{chrome_trace, jsonl};
@@ -113,7 +113,7 @@ impl TraceOpts {
                          \x20 --app NAME           workload (default em3d)\n\
                          \x20 --size tiny|default|paper (default tiny)\n\
                          \x20 --arch NAME          architecture (default ascoma)\n\
-                         \x20 --pressure P         memory pressure in (0,1] (default 0.7)\n\
+                         \x20 --pressure P         memory pressure in [0.001,1] (default 0.7)\n\
                          \x20 --out FILE           write trace to FILE (default stdout)\n\
                          \x20 --jsonl              export JSONL instead of Chrome trace JSON\n\
                          \x20 --summary            print the per-page relocation table instead\n\
@@ -134,7 +134,8 @@ impl TraceOpts {
 fn trace_cmd(args: &[String]) {
     let o = TraceOpts::parse(args);
     let trace = o.app.build(o.size, o.cfg.geometry.page_bytes());
-    let (result, events) = simulate_traced(&trace, o.arch, &o.cfg);
+    let (result, events, _registry) =
+        simulate_measured_streamed(&trace, o.arch, &o.cfg, 0, 0, |_| {});
 
     if o.summary {
         print_summary(&trace.name, o.arch, o.cfg.pressure, &events, trace.nodes);
@@ -182,8 +183,8 @@ fn trace_cmd(args: &[String]) {
 /// `(node, page)` pair that the trace touched, how many times it was
 /// mapped, upgraded CC-NUMA -> S-COMA, declined, and evicted.
 fn print_summary(name: &str, arch: Arch, pressure: f64, events: &EventLog, nodes: usize) {
-    // Lossy fold: an inspected stream may be truncated (ring buffer,
-    // partial JSONL), so lifecycle breaks are warnings here, not panics.
+    // Lossy fold: lifecycle breaks are printed as warnings here, so the
+    // table still renders.
     let (s, lifecycle_violations) = summarize_lossy(events, nodes);
     println!(
         "== {name} on {} at {:.0}% pressure ==",

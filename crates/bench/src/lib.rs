@@ -64,7 +64,7 @@ impl Flag {
                 list(d.iter().map(|a| a.name().to_string()).collect())
             ),
             Flag::Pressures(d) => format!(
-                "--pressure p,q,..   memory pressures in (0,1] (default {})",
+                "--pressure p,q,..   memory pressures in [0.001,1] (default {})",
                 list(d.iter().map(|p| p.to_string()).collect())
             ),
             Flag::Size(d) => format!("--size tiny|default|paper (default {})", d.name()),
@@ -196,9 +196,9 @@ pub fn text(s: &str) -> Option<String> {
     Some(s.to_string())
 }
 
-/// `s` as a memory pressure in (0, 1].
+/// `s` as a memory pressure in [[`SimConfig::MIN_PRESSURE`], 1].
 pub fn pressure(s: &str) -> Option<f64> {
-    num(s).filter(|p: &f64| *p > 0.0 && *p <= 1.0)
+    num(s).filter(|p: &f64| (SimConfig::MIN_PRESSURE..=1.0).contains(p))
 }
 
 /// `s` as a worker count (at least 1).

@@ -346,7 +346,7 @@ pub fn render_soak_html(summary: &Json) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ascoma::machine::simulate_measured;
+    use ascoma::machine::simulate_measured_streamed;
     use ascoma::SimConfig;
     use ascoma_workloads::{App, SizeClass};
 
@@ -355,7 +355,7 @@ mod tests {
         let cfg = SimConfig::at_pressure(0.7);
         let trace = App::Em3d.build(SizeClass::Tiny, cfg.geometry.page_bytes());
         let (result, _events, registry) =
-            simulate_measured(&trace, ascoma::Arch::AsComa, &cfg, 50_000);
+            simulate_measured_streamed(&trace, ascoma::Arch::AsComa, &cfg, 50_000, 0, |_| {});
         let html = render_html(&result, &registry, 10);
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("<svg"));

@@ -1,11 +1,11 @@
 //! Conformance harness: the explorers drive the **production** state
 //! machines.
 //!
-//! The legacy [`crate::model`] checks a hand-written re-statement of the
-//! protocol; a bug in the real `ascoma_proto::Directory`,
+//! A hand-written re-statement of the protocol would never show a bug
+//! in the real `ascoma_proto::Directory`,
 //! `ascoma_vm::{PageTable, FramePool, PageoutDaemon, BackoffState}` or
-//! `ascoma_mem::DirectMappedCache` code would never show up there.  This
-//! module implements [`Harness`] directly over those production types:
+//! `ascoma_mem::DirectMappedCache` code.  This module implements
+//! [`Harness`] directly over those production types:
 //! each explored action calls the same `fetch` / `upgrade` /
 //! `flush_page` / `map_scoma` / `unmap_scoma` / `run` methods the
 //! simulator's machine layer calls, and every explored state is checked

@@ -1,7 +1,7 @@
 //! The [`Harness`] trait: anything the explorers can drive.
 //!
 //! The harness abstraction decouples the exploration engines
-//! ([`crate::explore`], [`crate::liveness`], [`crate::shrink`]) from
+//! ([`crate::explore`], [`crate::liveness`], [`mod@crate::shrink`]) from
 //! *what* is being explored.  Its one implementation is the
 //! conformance harness over the **production** `proto`/`vm`/`mem`
 //! state machines (`crate::conform`, behind the `check` feature); the

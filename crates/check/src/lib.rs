@@ -19,7 +19,7 @@
 //!    static dependence) drives three engines: exhaustive BFS, a
 //!    DPOR-reduced DFS (persistent + sleep sets), and a lasso search for
 //!    livelock (a reachable cycle of non-progress actions).
-//!    Counterexamples are ddmin-minimized by [`shrink`] before they are
+//!    Counterexamples are ddmin-minimized by [`shrink()`] before they are
 //!    written as artifacts.
 //! 3. **Conformance checking** ([`conform`], `check` feature) — the
 //!    engines' one harness: the **production** `proto`/`vm`/`mem` state

@@ -130,7 +130,8 @@ pub struct SimConfig {
     pub l1_ways: usize,
     /// RAC size in bytes (paper: 512; 0 disables the RAC).
     pub rac_bytes: u64,
-    /// Memory pressure: home pages / total frames per node, in (0, 1].
+    /// Memory pressure: home pages / total frames per node, in
+    /// [[`SimConfig::MIN_PRESSURE`], 1].
     pub pressure: f64,
     /// Pageout low water mark as a fraction of total frames.
     pub free_min_frac: f64,
@@ -182,6 +183,12 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
+    /// The lowest pressure [`Self::validate`] accepts: at most 1,000
+    /// frames per home page.  Each node allocates `home_pages / pressure`
+    /// frames up front, so lower pressures cost memory tenfold per decade
+    /// without changing what the run shows.
+    pub const MIN_PRESSURE: f64 = 0.001;
+
     /// The paper's configuration at a given memory pressure.
     pub fn at_pressure(pressure: f64) -> Self {
         assert!(pressure > 0.0 && pressure <= 1.0);
@@ -193,7 +200,11 @@ impl SimConfig {
 
     /// Sanity-check cross-field invariants.
     pub fn validate(&self) {
-        assert!(self.pressure > 0.0 && self.pressure <= 1.0);
+        assert!(
+            self.pressure >= Self::MIN_PRESSURE,
+            "pressure must be at least 0.001 (1,000 frames per home page)"
+        );
+        assert!(self.pressure <= 1.0, "pressure must be at most 1");
         assert!(self.free_min_frac <= self.free_target_frac);
         assert!(
             self.l1_bytes.is_power_of_two(),
@@ -258,6 +269,23 @@ mod tests {
     #[should_panic]
     fn at_pressure_rejects_zero() {
         let _ = SimConfig::at_pressure(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "pressure must be at least 0.001")]
+    fn machine_rejects_pressure_below_the_floor_before_sizing_frames() {
+        // At 1e-9 the frame pools would ask for u32::MAX frames per node.
+        let trace = ascoma_workloads::apps::em3d::Em3dParams::tiny().build(4096);
+        let cfg = SimConfig {
+            pressure: 1e-9,
+            ..SimConfig::default()
+        };
+        crate::simulate(&trace, Arch::AsComa, &cfg);
+    }
+
+    #[test]
+    fn pressure_at_the_floor_validates() {
+        SimConfig::at_pressure(SimConfig::MIN_PRESSURE).validate();
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub fn assemble_figure(app: &str, runs: Vec<RunResult>) -> FigureData {
 }
 
 /// The Table 6 census cell for `trace`: R-NUMA at 10% memory pressure —
-/// "the percentage of remote pages that are refetched at least [threshold]
+/// "the percentage of remote pages that are refetched at least \[threshold\]
 /// times, and thus will be remapped from CC-NUMA to S-COMA mode in R-NUMA
 /// or VC-NUMA, versus the total number of remote pages accessed."  The
 /// run's `remote_page_node_pairs`, `relocated_page_node_pairs` and

@@ -46,8 +46,5 @@ pub mod result;
 
 pub use config::{Arch, PolicyParams, SimConfig};
 pub use experiments::{figure_grid, run_cells, Cell, StreamSpec};
-pub use machine::{
-    simulate, simulate_measured_streamed, simulate_streamed, simulate_traced, simulate_with_sink,
-    Machine,
-};
+pub use machine::{simulate, simulate_measured_streamed, simulate_streamed, Machine};
 pub use result::RunResult;

@@ -316,7 +316,10 @@ impl<'t, S: Sink> Machine<'t, S> {
     }
 
     /// Run to completion; return the results and the sink (with whatever
-    /// it recorded).
+    /// it recorded).  With [`NoopSink`] this is exactly [`Self::run`]
+    /// (the emission sites compile away), which
+    /// `tests/observability.rs::noop_sink_run_matches_uninstrumented_run`
+    /// asserts cycle-for-cycle.
     pub fn run_into(mut self) -> (RunResult, S) {
         while let Some((node, t)) = self.sched.pop() {
             let n = node.idx();
@@ -1751,55 +1754,7 @@ pub fn simulate(trace: &Trace, arch: Arch, cfg: &SimConfig) -> RunResult {
     Machine::new(trace, arch, cfg).run()
 }
 
-/// Run `trace` with instrumentation emitting into `sink`; returns the
-/// result and the sink.  With [`NoopSink`] this is exactly [`simulate`]
-/// (the emission sites compile away), which
-/// `tests/observability.rs::noop_sink_run_matches_uninstrumented_run`
-/// asserts cycle-for-cycle.
-pub fn simulate_with_sink<S: Sink>(
-    trace: &Trace,
-    arch: Arch,
-    cfg: &SimConfig,
-    sink: S,
-) -> (RunResult, S) {
-    Machine::with_sink(trace, arch, cfg, sink).run_into()
-}
-
-/// Run `trace` recording the full event stream; returns the result (with
-/// its [`RunResult::obs`] digest filled in) and the recorded events as a
-/// compact [`EventLog`] (iterate it to decode).
-///
-/// Enable periodic time-series samples via
-/// [`SimConfig::obs_sample_period`]; transition events are always
-/// recorded.
-///
-/// ```
-/// use ascoma::machine::simulate_traced;
-/// use ascoma::{Arch, SimConfig};
-/// use ascoma_workloads::{App, SizeClass};
-///
-/// let mut cfg = SimConfig::at_pressure(0.7);
-/// cfg.obs_sample_period = 50_000;
-/// let trace = App::Em3d.build(SizeClass::Tiny, cfg.geometry.page_bytes());
-/// let (r, events) = simulate_traced(&trace, Arch::AsComa, &cfg);
-/// assert!(!events.is_empty());
-/// assert!(r.obs.is_some());
-/// ```
-pub fn simulate_traced(trace: &Trace, arch: Arch, cfg: &SimConfig) -> (RunResult, EventLog) {
-    let (mut result, (log, summary)) =
-        simulate_offloaded(trace, arch, cfg, observed_sink(trace.nodes));
-    result.obs = Some(summary.finish());
-    (result, log)
-}
-
-/// The recording sink behind every observed entry point: events are
-/// recorded and folded into the lifecycle summary as they are emitted,
-/// so no entry point re-reads the recorded stream.
-fn observed_sink(nodes: usize) -> (EventLog, SummaryFold) {
-    (EventLog::new(), SummaryFold::new(nodes))
-}
-
-/// [`simulate_with_sink`] with `sink` run on a second thread: the
+/// [`Machine::with_sink`] with `sink` run on a second thread: the
 /// machine emits into a [`BatchSink`], and one scoped worker owns
 /// `sink` and emits every event into it in order, so `sink` ends in
 /// the state an in-thread run leaves it in (`tests/observed_offload.rs`
@@ -1811,42 +1766,10 @@ fn simulate_offloaded<S: Sink + Send>(
     sink: S,
 ) -> (RunResult, S) {
     std::thread::scope(|scope| {
-        let (result, batches) = simulate_with_sink(trace, arch, cfg, BatchSink::spawn(scope, sink));
+        let (result, batches) =
+            Machine::with_sink(trace, arch, cfg, BatchSink::spawn(scope, sink)).run_into();
         (result, batches.finish())
     })
-}
-
-/// Run `trace` with full tracing *and* metrics: like [`simulate_traced`],
-/// but also folds the stream into a [`MetricsRegistry`] (windowed every
-/// `window` cycles; 0 disables the time series) and attaches its digest
-/// as [`RunResult::metrics`].  Returns the result, the event stream, and
-/// the registry (for report rendering).
-///
-/// The registry is a pure fold over the deterministic event stream,
-/// built online as events are emitted, so the digest is byte-identical
-/// across repeated runs and across parallel-job counts.  This is
-/// [`simulate_measured_streamed`] with snapshots off.
-///
-/// ```
-/// use ascoma::machine::simulate_measured;
-/// use ascoma::{Arch, SimConfig};
-/// use ascoma_workloads::{App, SizeClass};
-///
-/// let mut cfg = SimConfig::at_pressure(0.7);
-/// cfg.obs_sample_period = 50_000;
-/// let trace = App::Em3d.build(SizeClass::Tiny, cfg.geometry.page_bytes());
-/// let (r, _events, reg) = simulate_measured(&trace, Arch::AsComa, &cfg, 100_000);
-/// let digest = r.metrics.unwrap();
-/// assert_eq!(digest, reg.digest());
-/// assert!(digest.hist("page_remap").is_some());
-/// ```
-pub fn simulate_measured(
-    trace: &Trace,
-    arch: Arch,
-    cfg: &SimConfig,
-    window: Cycles,
-) -> (RunResult, EventLog, MetricsRegistry) {
-    simulate_measured_streamed(trace, arch, cfg, window, 0, |_| {})
 }
 
 /// Run `trace` while streaming live [`Snapshot`]s of registry state to
@@ -1875,14 +1798,36 @@ pub fn simulate_streamed<F: FnMut(Snapshot) + Send>(
     (result, registry)
 }
 
-/// [`simulate_measured`] with live streaming: records the full event
-/// stream *and* emits [`Snapshot`]s at `cadence` (0 = only the final
-/// frame).  The lifecycle summary and the registry are both folded
-/// online, once per event, while the run executes; the recorded stream
-/// is returned untouched.  The result (including the attached obs
-/// summary and metrics digest) equals what the offline folds
-/// ([`ascoma_obs::summarize`], [`MetricsRegistry::from_events`]) give
-/// over the returned events — `tests/online_fold.rs` asserts it.
+/// Run `trace` recording the full event stream as a compact
+/// [`EventLog`] (iterate it to decode), folding it into a
+/// [`MetricsRegistry`] windowed every `window` cycles (0 disables the
+/// time series) and emitting [`Snapshot`]s to `on_snap` at `cadence`
+/// (0 = only the final frame).  Returns the result, with its
+/// [`RunResult::obs`] summary and [`RunResult::metrics`] digest filled
+/// in, the log and the registry.  Periodic samples exist only if
+/// [`SimConfig::obs_sample_period`] is non-zero.
+///
+/// The summary and the registry are folded online, once per event; the
+/// result equals what the offline folds ([`ascoma_obs::summarize`],
+/// [`MetricsRegistry::from_events`]) give over the returned events —
+/// `tests/online_fold.rs` asserts it.
+///
+/// ```
+/// use ascoma::machine::simulate_measured_streamed;
+/// use ascoma::{Arch, SimConfig};
+/// use ascoma_workloads::{App, SizeClass};
+///
+/// let mut cfg = SimConfig::at_pressure(0.7);
+/// cfg.obs_sample_period = 50_000;
+/// let trace = App::Em3d.build(SizeClass::Tiny, cfg.geometry.page_bytes());
+/// let (r, events, reg) =
+///     simulate_measured_streamed(&trace, Arch::AsComa, &cfg, 100_000, 0, |_| {});
+/// assert!(!events.is_empty());
+/// assert!(r.obs.is_some());
+/// let digest = r.metrics.unwrap();
+/// assert_eq!(digest, reg.digest());
+/// assert!(digest.hist("page_remap").is_some());
+/// ```
 pub fn simulate_measured_streamed<F: FnMut(Snapshot) + Send>(
     trace: &Trace,
     arch: Arch,
@@ -1892,7 +1837,7 @@ pub fn simulate_measured_streamed<F: FnMut(Snapshot) + Send>(
     on_snap: F,
 ) -> (RunResult, EventLog, MetricsRegistry) {
     let sink = StreamSink::new(
-        observed_sink(trace.nodes),
+        (EventLog::new(), SummaryFold::new(trace.nodes)),
         trace.nodes,
         window,
         cadence,
@@ -2099,7 +2044,7 @@ mod tests {
         cfg.controller = ascoma_obs::ControllerParams::enabled();
         cfg.controller.window = 50_000;
         let plain = simulate(&t, Arch::AsComa, &cfg);
-        let (traced, events) = simulate_traced(&t, Arch::AsComa, &cfg);
+        let (traced, events, _) = simulate_measured_streamed(&t, Arch::AsComa, &cfg, 0, 0, |_| {});
         assert_eq!(plain.cycles, traced.cycles);
         assert_eq!(plain.exec, traced.exec);
         assert_eq!(plain.controller, traced.controller);

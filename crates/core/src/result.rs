@@ -54,11 +54,12 @@ pub struct RunResult {
     pub net_messages: u64,
     /// Cycles messages spent queued at network input ports.
     pub net_queued_cycles: Cycles,
-    /// Observability digest: present when the run was traced (e.g. via
-    /// `simulate_traced`), `None` for untraced runs.
+    /// Observability digest: present when the run was traced (via
+    /// `simulate_measured_streamed`), `None` for untraced runs.
     pub obs: Option<Summary>,
     /// Metrics digest (latency percentiles + event counters): present
-    /// when the run was measured (`simulate_measured`), `None` otherwise.
+    /// when the run was measured (`simulate_measured_streamed`), `None`
+    /// otherwise.
     /// Integer-only and deterministic, so it compares exactly across job
     /// counts and is what `bench diff` consumes.
     pub metrics: Option<MetricsDigest>,

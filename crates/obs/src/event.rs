@@ -13,8 +13,7 @@
 //!
 //! The JSON encoding here is hand-rolled (the workspace is offline and
 //! dependency-free); every event serializes to a single flat object, the
-//! line format consumed by [`crate::sink::JsonlSink`] and
-//! [`crate::export::jsonl`].
+//! line format written by [`crate::export::jsonl`].
 
 use crate::control::{Cause, Phase};
 use ascoma_sim::addr::VPage;
@@ -839,6 +838,29 @@ mod tests {
             "{\"t\":1234,\"kind\":\"page_mapped\",\"node\":3,\"page\":7,\"mode\":\"numa\"}"
         );
         assert!(!j.contains('\n'));
+    }
+
+    #[test]
+    fn every_variant_writes_one_flat_object() {
+        use crate::json::{parse, Json};
+        for (i, event) in one_of_each().into_iter().enumerate() {
+            let te = TimedEvent {
+                cycle: 100 + i as u64,
+                event,
+            };
+            let j = te.to_json();
+            let obj = parse(&j).unwrap_or_else(|e| panic!("{e}: {j}"));
+            let fields = obj.as_obj().unwrap_or_else(|| panic!("not an object: {j}"));
+            assert!(
+                fields
+                    .iter()
+                    .all(|(_, v)| !matches!(v, Json::Obj(_) | Json::Arr(_))),
+                "not flat: {j}"
+            );
+            assert_eq!(obj.get("kind").and_then(Json::as_str), Some(event.kind()));
+            assert_eq!(obj.get("t").and_then(Json::as_u64), Some(te.cycle));
+            assert_eq!(obj.get("node").and_then(Json::as_u64), Some(0));
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::io::{self, Write};
 
 /// Write events as JSON Lines (one object per line) to `w`, one line at
 /// a time — wrap files in a `BufWriter`.  Takes a recorded
-/// [`crate::EventLog`] or imported events alike.
+/// [`crate::EventLog`] or a slice of events alike.
 pub fn jsonl<I, W>(events: I, w: &mut W) -> io::Result<()>
 where
     I: IntoIterator,

@@ -1,8 +1,10 @@
 //! A minimal recursive-descent JSON parser for the offline workspace.
 //!
 //! The repo serializes everything by hand (flat event lines, digest and
-//! baseline files); this is the matching reader used by trace re-import
-//! ([`crate::import`]) and the `bench diff` regression comparator.
+//! baseline files); this is the matching reader used by the `bench diff`
+//! regression comparator, the grid-progress stream
+//! ([`crate::parse_stream_line`]) and controller replay
+//! ([`crate::replay_tunes`]).
 //! Numbers parse to `f64`, which is exact for every integer the
 //! simulator emits below 2^53 — counters that could plausibly exceed
 //! that (none today; machine-cycle totals are ~2^33 per run) would need

@@ -14,8 +14,8 @@
 //!   `Sink::ENABLED == false`, so every emission site compiles away and an
 //!   uninstrumented run is bit-identical to the pre-instrumentation
 //!   simulator;
-//! * recording sinks: the compact, lossless [`EventLog`] (about 5 bytes
-//!   per event, decoded on iteration), [`RingSink`], [`JsonlSink`];
+//! * the recording sink, the compact, lossless [`EventLog`] (about 5
+//!   bytes per event, decoded on iteration);
 //! * [`BatchSink`], which batches events to a second thread that owns
 //!   the real sink stack, so recording and folding run beside the
 //!   simulation instead of on its thread;
@@ -28,9 +28,10 @@
 //! * a [`metrics`] registry folding measurement events into per-node,
 //!   per-class latency histograms, windowed time series, and hot-page
 //!   tallies, with an integer-only [`MetricsDigest`] compared by
-//!   `bench diff`;
-//! * a dependency-free JSON reader ([`json`], [`import`]) so archived
-//!   JSONL traces round-trip back into typed events;
+//!   `bench diff`, folded online by [`StreamSink`], which also streams
+//!   live [`Snapshot`]s of it;
+//! * a dependency-free JSON reader ([`json`]) for digests, the
+//!   grid-progress stream and controller replay;
 //! * the closed control loop ([`control`]): a deterministic, integer-only
 //!   phase detector folding the windowed signals back into per-node
 //!   `Tune` actions on the back-off knobs, with every decision emitted
@@ -46,7 +47,6 @@ pub mod control;
 pub mod event;
 pub mod export;
 pub mod hash;
-pub mod import;
 pub mod json;
 pub mod log;
 pub mod metrics;
@@ -59,11 +59,10 @@ pub use control::{
     NodeControllerSummary, Phase, PhaseChangeInfo, PhaseStep, TuneInfo, WindowSample,
 };
 pub use event::{BackoffKind, Event, EvictCause, MapMode, MissLoc, TimedEvent, KINDS, KIND_NAMES};
-pub use import::{parse_event_line, parse_jsonl};
 pub use log::EventLog;
-pub use metrics::{HistStat, MetricsDigest, MetricsRegistry, MetricsSink};
-pub use sink::{BatchSink, JsonlSink, NoopSink, RingSink, Sink};
-pub use snapshot::{channel_sink, parse_stream_line, NodeSnap, Snapshot, StreamEvent, StreamSink};
+pub use metrics::{HistStat, MetricsDigest, MetricsRegistry};
+pub use sink::{BatchSink, NoopSink, Sink};
+pub use snapshot::{parse_stream_line, NodeSnap, Snapshot, StreamEvent, StreamSink};
 pub use summary::{
     summarize, summarize_lossy, DaemonEpochRecord, LifecycleViolation, PageLifecycle, Summary,
     SummaryFold, ThresholdStep,

@@ -2,17 +2,16 @@
 //! time-series, and hot-page analytics folded from the event stream.
 //!
 //! The registry is a pure function of the (deterministic) event stream:
-//! it can be built online while a run executes ([`MetricsSink`], constant
-//! memory) or offline from a recorded trace
-//! ([`MetricsRegistry::from_events`]) — both orders produce identical
-//! state, so the resulting [`MetricsDigest`] is byte-identical across
-//! job counts and across export/re-import round-trips.  Every digest
-//! field is an integer (see [`ascoma_sim::hist::Histogram::percentile`])
-//! which makes digests directly comparable by `bench diff`.
+//! it is built online while a run executes ([`crate::StreamSink`],
+//! constant memory) or offline from a recorded stream
+//! ([`MetricsRegistry::from_events`]) — both produce identical state, so
+//! the resulting [`MetricsDigest`] is byte-identical across job counts.
+//! Every digest field is an integer (see
+//! [`ascoma_sim::hist::Histogram::percentile`]) which makes digests
+//! directly comparable by `bench diff`.
 
 use crate::event::{Event, MissLoc, TimedEvent, KINDS, KIND_NAMES};
 use crate::hash::FxHashMap;
-use crate::sink::Sink;
 use ascoma_sim::hist::{HistDigest, Histogram};
 use ascoma_sim::Cycles;
 use std::borrow::Borrow;
@@ -251,8 +250,7 @@ impl MetricsRegistry {
     }
 
     /// Build a registry by folding a recorded event stream — the offline
-    /// path for imported traces; live runs fold through [`MetricsSink`]
-    /// or [`crate::StreamSink`] instead.
+    /// fold; live runs fold through [`crate::StreamSink`] instead.
     pub fn from_events<I>(events: I, nodes: usize, window: Cycles) -> Self
     where
         I: IntoIterator,
@@ -374,34 +372,11 @@ impl MetricsDigest {
     }
 }
 
-/// A [`Sink`] that folds events straight into a [`MetricsRegistry`] —
-/// constant memory regardless of run length, no event buffer.
-#[derive(Debug, Clone)]
-pub struct MetricsSink {
-    /// The registry being populated.
-    pub registry: MetricsRegistry,
-}
-
-impl MetricsSink {
-    /// A metrics-collecting sink for `nodes` nodes with the given series
-    /// window (0 disables windowed series).
-    pub fn new(nodes: usize, window: Cycles) -> Self {
-        Self {
-            registry: MetricsRegistry::new(nodes, window),
-        }
-    }
-}
-
-impl Sink for MetricsSink {
-    #[inline]
-    fn emit(&mut self, cycle: Cycles, event: Event) {
-        self.registry.fold(&TimedEvent { cycle, event });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::{NoopSink, Sink};
+    use crate::snapshot::StreamSink;
     use ascoma_sim::addr::VPage;
     use ascoma_sim::NodeId;
 
@@ -479,13 +454,13 @@ mod tests {
     #[test]
     fn online_and_offline_folds_agree() {
         let evs = stream();
-        let mut sink = MetricsSink::new(2, DEFAULT_WINDOW);
+        let mut sink = StreamSink::new(NoopSink, 2, DEFAULT_WINDOW, 0, |_| {});
         for te in &evs {
             sink.emit(te.cycle, te.event);
         }
         let offline = MetricsRegistry::from_events(&evs, 2, DEFAULT_WINDOW);
-        assert_eq!(sink.registry, offline);
-        assert_eq!(sink.registry.digest(), offline.digest());
+        assert_eq!(sink.registry(), &offline);
+        assert_eq!(sink.registry().digest(), offline.digest());
     }
 
     #[test]

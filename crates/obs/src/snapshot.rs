@@ -28,7 +28,6 @@ use crate::sink::Sink;
 use ascoma_sim::hist::{HistDigest, Histogram};
 use ascoma_sim::Cycles;
 use std::fmt::Write as _;
-use std::sync::mpsc;
 
 /// Number of miss-service locations tracked per snapshot
 /// (= [`MissLoc::ALL`] length).
@@ -212,21 +211,6 @@ impl<S: Sink, F: FnMut(Snapshot)> Sink for StreamSink<S, F> {
             self.next += periods * self.cadence;
         }
     }
-}
-
-/// A [`StreamSink`] that forwards snapshots over an `mpsc` channel.
-/// Send failures (the receiver hung up — a detached viewer) are ignored
-/// so the run always completes.
-pub fn channel_sink<S: Sink>(
-    inner: S,
-    nodes: usize,
-    window: Cycles,
-    cadence: Cycles,
-    tx: mpsc::Sender<Snapshot>,
-) -> StreamSink<S, impl FnMut(Snapshot)> {
-    StreamSink::new(inner, nodes, window, cadence, move |s| {
-        let _ = tx.send(s);
-    })
 }
 
 /// One frame of the grid-progress stream protocol.
@@ -584,17 +568,6 @@ mod tests {
         assert_eq!(got.get(), 0);
         sink.snapshot_now(10_000);
         assert_eq!(got.get(), 1);
-    }
-
-    #[test]
-    fn channel_sink_survives_dropped_receiver() {
-        let (tx, rx) = mpsc::channel();
-        let mut sink = channel_sink(crate::sink::NoopSink, 1, 0, 100, tx);
-        sink.emit(150, miss(0, 1, false));
-        assert_eq!(rx.recv().map(|s: Snapshot| s.cycle), Ok(150));
-        drop(rx);
-        sink.emit(300, miss(0, 1, false)); // must not panic
-        assert_eq!(sink.snapshots(), 2);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! [`SummaryFold`] is the one fold: observed runs feed it as a [`Sink`]
 //! while they execute, and [`summarize`] / [`summarize_lossy`] loop it
-//! over a recorded or imported trace.
+//! over a recorded trace.
 
 use crate::event::{BackoffKind, Event, MapMode, TimedEvent};
 use crate::hash::FxHashMap;
@@ -376,7 +376,7 @@ fn touch(
 /// Fold `events` into a [`Summary`].  `nodes` sizes the per-node
 /// trajectory table; events from nodes `>= nodes` grow it as needed.
 ///
-/// This is the offline form (imported or recorded traces) of the
+/// This is the offline form (over a recorded trace) of the
 /// [`SummaryFold`] the observed run paths feed online.
 ///
 /// # Panics
@@ -384,9 +384,8 @@ fn touch(
 /// On an illegal page-lifecycle sequence — an `Evicted` before any
 /// frame-granting map, a second frame granted without an eviction in
 /// between, a refault of a never-mapped page.  A full event stream from
-/// one run must be legal; use [`summarize_lossy`] for truncated traces
-/// (ring buffers, partial JSONL files) where a cut-off prefix makes
-/// such sequences expected.
+/// one run must be legal; use [`summarize_lossy`] for truncated traces,
+/// where a cut-off prefix makes such sequences expected.
 pub fn summarize<I>(events: I, nodes: usize) -> Summary
 where
     I: IntoIterator,

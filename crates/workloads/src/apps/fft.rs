@@ -10,7 +10,7 @@
 //! in fft are accessed enough to be eligible for relocation, so all of the
 //! hybrid architectures effectively become CC-NUMAs") — and the sequential
 //! 32-byte strides within 128-byte DSM blocks make the little RAC
-//! surprisingly effective, the paper's "minor optimization [that] had a
+//! surprisingly effective, the paper's "minor optimization \[that\] had a
 //! larger impact on performance than we had anticipated".
 
 use crate::synth::{sweep, sweep_private, Arena};

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Correctness gate for the ascoma workspace: formatting, clippy with
-# warnings denied, a panic lint over library code, the conformance
+# Correctness gate for the ascoma workspace: formatting, clippy and
+# rustdoc with warnings denied, a panic lint over library code, the conformance
 # checker over the production protocol state machines (clean suite +
 # seeded-fault detection), the liveness, bounded-fault / recovery and
 # soak gates, and the feature-gated interleaving/churn test suites.
@@ -41,6 +41,9 @@ cargo clippy --workspace --all-targets \
 
 step "clippy (conformance harness: ascoma-check/check)"
 cargo clippy -p ascoma-check --all-targets --features check -- -D warnings
+
+step "rustdoc (deny warnings: no broken or ambiguous intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --all-features
 
 step "panic lint (unwrap/expect in library code)"
 # Per file: scan until the first top-level `#[cfg(test)]` (test modules

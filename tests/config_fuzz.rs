@@ -4,10 +4,10 @@
 //! inside `Machine` is a validation gap.
 //!
 //! Draws come from the vendored `SimRng`, so a failure names a draw
-//! index that reproduces exactly.  They lean on the edges: pressure near
-//! 0 and at 1, no RAC, equal pageout watermarks (including 0 and 1), and
-//! extreme policy and daemon constants, over every architecture and
-//! every Tiny trace.
+//! index that reproduces exactly.  They lean on the edges: pressure just
+//! above the 0.001 floor, far below it and at 1, no RAC, equal pageout
+//! watermarks (including 0 and 1), and extreme policy and daemon
+//! constants, over every architecture and every Tiny trace.
 
 use ascoma::{simulate, Arch, SimConfig};
 use ascoma_sim::rng::SimRng;
@@ -26,9 +26,12 @@ fn draw(rng: &mut SimRng) -> SimConfig {
         check_invariants: true,
         ..SimConfig::default()
     };
-    cfg.pressure = match rng.below(3) {
+    cfg.pressure = match rng.below(4) {
         0 => 0.001 + 0.009 * rng.unit(),
         1 => 1.0,
+        // A billion frames per home page: must be rejected before the
+        // frame pools are sized.
+        2 => 1e-9,
         _ => 0.05 + 0.95 * rng.unit(),
     };
     cfg.rac_bytes = pick(rng, &[0, 0, 512, 512, 8192, 192]);
@@ -68,13 +71,22 @@ fn every_drawn_config_is_rejected_or_runs_clean() {
         .map(|app| app.build(SizeClass::Tiny, page_bytes))
         .collect();
     let mut rng = SimRng::seed_from(SEED);
-    let (mut rejected, mut completed) = (0usize, 0usize);
+    let (mut rejected, mut completed, mut below_floor) = (0usize, 0usize, 0usize);
     let mut failures = Vec::new();
     for i in 0..DRAWS {
         let cfg = draw(&mut rng);
         let arch = Arch::ALL[i % Arch::ALL.len()];
         let app = (i / Arch::ALL.len()) % App::ALL.len();
-        if catch_unwind(|| cfg.validate()).is_err() {
+        let valid = catch_unwind(|| cfg.validate()).is_ok();
+        if cfg.pressure < SimConfig::MIN_PRESSURE {
+            assert!(
+                !valid,
+                "draw {i}: pressure {} passed validate",
+                cfg.pressure
+            );
+            below_floor += 1;
+        }
+        if !valid {
             rejected += 1;
             continue;
         }
@@ -103,4 +115,5 @@ fn every_drawn_config_is_rejected_or_runs_clean() {
     // Neither outcome may be vacuous.
     assert!(rejected > 0, "no draw exercised validate's rejections");
     assert!(completed > 0, "no draw ran to completion");
+    assert!(below_floor > 0, "no draw fell below the pressure floor");
 }

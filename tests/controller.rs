@@ -3,7 +3,7 @@
 //! when disabled, and replayable from its exported event stream.
 
 use ascoma::experiments::{figure_grid, run_cells, Cell};
-use ascoma::machine::{simulate, simulate_measured, simulate_traced};
+use ascoma::machine::{simulate, simulate_measured_streamed};
 use ascoma::{Arch, SimConfig};
 use ascoma_obs::{export, replay_tunes, ControllerParams};
 use ascoma_workloads::{App, SizeClass};
@@ -41,8 +41,9 @@ fn controller_on_results_are_identical_across_job_counts() {
 fn controller_on_metrics_digest_is_deterministic() {
     let cfg = auto_cfg(0.9);
     let trace = App::Em3d.build(SizeClass::Tiny, cfg.geometry.page_bytes());
-    let (r1, _, reg1) = simulate_measured(&trace, Arch::AsComa, &cfg, 50_000);
-    let (r2, _, reg2) = simulate_measured(&trace, Arch::AsComa, &cfg, 50_000);
+    let measured = || simulate_measured_streamed(&trace, Arch::AsComa, &cfg, 50_000, 0, |_| {});
+    let (r1, _, reg1) = measured();
+    let (r2, _, reg2) = measured();
     assert_eq!(r1, r2);
     assert_eq!(reg1.digest(), reg2.digest());
     // Tuner activity reaches the digest's cause counters.
@@ -119,7 +120,7 @@ fn replayed_tunes_reproduce_the_live_knob_trajectory() {
         ..ControllerParams::enabled()
     };
     let trace = App::Em3d.build(SizeClass::Tiny, cfg.geometry.page_bytes());
-    let (run, events) = simulate_traced(&trace, Arch::AsComa, &cfg);
+    let (run, events, _) = simulate_measured_streamed(&trace, Arch::AsComa, &cfg, 0, 0, |_| {});
     let summary = run.controller.expect("controller on");
     assert!(
         summary.per_node.iter().any(|n| n.knob_trajectory.len() > 1),

@@ -6,20 +6,21 @@
 //!   node before it was mapped there;
 //! * the no-op sink is free — an instrumented-but-disabled run matches
 //!   an uninstrumented run cycle-for-cycle;
-//! * exports are well-formed — Chrome traces validate as JSON and the
-//!   em3d/70% acceptance trace contains daemon epochs, back-off events
-//!   and CC-NUMA→S-COMA upgrades;
+//! * exports are well-formed — Chrome traces validate as JSON, JSONL
+//!   writes one flat object per event, and the em3d/70% acceptance trace
+//!   contains daemon epochs, back-off events and CC-NUMA→S-COMA
+//!   upgrades;
 //! * recorded logs are compact and canonical — real runs re-encode to
 //!   the same bytes, at a pinned bound on bytes per event.
 
-use ascoma::machine::{simulate, simulate_measured, simulate_traced, simulate_with_sink};
+use ascoma::machine::{simulate, simulate_measured_streamed};
 use ascoma::parallel::run_indexed;
-use ascoma::{Arch, SimConfig};
+use ascoma::{Arch, Machine, RunResult, SimConfig};
 use ascoma_obs::export::{chrome_trace, jsonl_string, validate_json};
-use ascoma_obs::{
-    parse_jsonl, summarize, Event, EventLog, MetricsRegistry, MetricsSink, NoopSink, TimedEvent,
-};
+use ascoma_obs::json::{parse, Json};
+use ascoma_obs::{summarize, Event, EventLog, NoopSink, TimedEvent};
 use ascoma_workloads::apps::em3d::Em3dParams;
+use ascoma_workloads::trace::Trace;
 use ascoma_workloads::{App, SizeClass};
 
 fn traced_cfg(pressure: f64) -> SimConfig {
@@ -28,12 +29,19 @@ fn traced_cfg(pressure: f64) -> SimConfig {
     cfg
 }
 
+/// A recording run with no registry window and no snapshots: the result
+/// and the event log.
+fn traced(trace: &Trace, arch: Arch, cfg: &SimConfig) -> (RunResult, EventLog) {
+    let (result, events, _registry) = simulate_measured_streamed(trace, arch, cfg, 0, 0, |_| {});
+    (result, events)
+}
+
 #[test]
 fn event_streams_are_deterministic() {
     let trace = App::Em3d.build(SizeClass::Tiny, 4096);
     let cfg = traced_cfg(0.7);
-    let (ra, ea) = simulate_traced(&trace, Arch::AsComa, &cfg);
-    let (rb, eb) = simulate_traced(&trace, Arch::AsComa, &cfg);
+    let (ra, ea) = traced(&trace, Arch::AsComa, &cfg);
+    let (rb, eb) = traced(&trace, Arch::AsComa, &cfg);
     assert_eq!(ra.cycles, rb.cycles);
     assert_eq!(ea, eb, "event streams must be identical across runs");
     assert_eq!(jsonl_string(&ea), jsonl_string(&eb));
@@ -47,7 +55,7 @@ fn eviction_never_precedes_mapping() {
     // the stream is scanned in order.
     let trace = App::Em3d.build(SizeClass::Tiny, 4096);
     for arch in [Arch::AsComa, Arch::Scoma, Arch::RNuma] {
-        let (_r, events) = simulate_traced(&trace, arch, &traced_cfg(0.7));
+        let (_r, events) = traced(&trace, arch, &traced_cfg(0.7));
         let mut mapped = std::collections::HashMap::new();
         for te in &events {
             match te.event {
@@ -76,7 +84,7 @@ fn per_node_cycles_are_monotone() {
     // Events carry the emitting node's clock; within one node's
     // subsequence the stamps must never go backwards.
     let trace = App::Radix.build(SizeClass::Tiny, 4096);
-    let (_r, events) = simulate_traced(&trace, Arch::AsComa, &traced_cfg(0.7));
+    let (_r, events) = traced(&trace, Arch::AsComa, &traced_cfg(0.7));
     let mut last = std::collections::HashMap::new();
     for te in &events {
         let node = te.event.node().0;
@@ -91,7 +99,7 @@ fn noop_sink_run_matches_uninstrumented_run() {
     for arch in Arch::ALL {
         let cfg = SimConfig::at_pressure(0.7);
         let plain = simulate(&trace, arch, &cfg);
-        let (noop, _sink) = simulate_with_sink(&trace, arch, &cfg, NoopSink);
+        let (noop, _sink) = Machine::with_sink(&trace, arch, &cfg, NoopSink).run_into();
         assert_eq!(plain.cycles, noop.cycles, "{}", arch.name());
         assert_eq!(plain.exec, noop.exec);
         assert_eq!(plain.miss, noop.miss);
@@ -106,7 +114,7 @@ fn sampling_does_not_perturb_simulation() {
     // steps; turning it on must not change any simulated outcome.
     let trace = App::Em3d.build(SizeClass::Tiny, 4096);
     let plain = simulate(&trace, Arch::AsComa, &SimConfig::at_pressure(0.7));
-    let (sampled, events) = simulate_traced(&trace, Arch::AsComa, &traced_cfg(0.7));
+    let (sampled, events) = traced(&trace, Arch::AsComa, &traced_cfg(0.7));
     assert_eq!(plain.cycles, sampled.cycles);
     assert_eq!(plain.miss, sampled.miss);
     assert!(
@@ -135,7 +143,7 @@ fn acceptance_trace_em3d_70_pct() {
     cfg.kernel.daemon_period = 10_000;
     cfg.policy.initial_threshold = 16;
     cfg.policy.threshold_increment = 8;
-    let (result, events) = simulate_traced(&trace, Arch::AsComa, &cfg);
+    let (result, events) = traced(&trace, Arch::AsComa, &cfg);
 
     let has = |f: fn(&TimedEvent) -> bool| events.iter().any(|e| f(&e));
     assert!(
@@ -162,49 +170,35 @@ fn acceptance_trace_em3d_70_pct() {
 }
 
 #[test]
-fn jsonl_export_round_trips_through_import() {
-    // An archived JSONL trace re-imported through the dependency-free
-    // JSON reader must reproduce the in-memory stream exactly — and
-    // therefore the same lifecycle summary and metrics digest.
+fn jsonl_export_writes_one_flat_line_per_event() {
+    // Every event becomes one line holding one flat JSON object whose
+    // `kind`, `t` (cycle) and `node` fields are the event's own.
     let trace = App::Em3d.build(SizeClass::Tiny, 4096);
-    let (_r, events) = simulate_traced(&trace, Arch::AsComa, &traced_cfg(0.7));
+    let (_r, events) = traced(&trace, Arch::AsComa, &traced_cfg(0.7));
+    assert!(events.iter().any(|e| e.event.is_sample()), "sampling is on");
     let text = jsonl_string(&events);
-    let imported = parse_jsonl(&text).expect("exported JSONL must re-import");
-    assert!(
-        events.iter().eq(imported.iter().copied()),
-        "round trip must be lossless"
-    );
-    assert_eq!(
-        summarize(&events, trace.nodes),
-        summarize(&imported, trace.nodes)
-    );
-    let window = 50_000;
-    assert_eq!(
-        MetricsRegistry::from_events(&events, trace.nodes, window).digest(),
-        MetricsRegistry::from_events(&imported, trace.nodes, window).digest()
-    );
-}
-
-#[test]
-fn online_metrics_sink_matches_offline_registry() {
-    // Folding events as they are emitted (constant memory) must produce
-    // the same registry as recording the stream and folding afterwards.
-    let trace = App::Em3d.build(SizeClass::Tiny, 4096);
-    let cfg = traced_cfg(0.7);
-    let window = 50_000;
-    let (result, events, offline) = simulate_measured(&trace, Arch::AsComa, &cfg, window);
-    let (_r, sink) = simulate_with_sink(
-        &trace,
-        Arch::AsComa,
-        &cfg,
-        MetricsSink::new(trace.nodes, window),
-    );
-    assert_eq!(sink.registry, offline);
-    assert_eq!(result.metrics, Some(offline.digest()));
-    assert!(
-        !events.is_empty() && offline.digest().hist("miss_service/home").is_some(),
-        "measured run must populate the digest"
-    );
+    assert_eq!(text.lines().count(), events.len(), "one line per event");
+    for (line, te) in text.lines().zip(&events) {
+        let obj = parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let fields = obj
+            .as_obj()
+            .unwrap_or_else(|| panic!("not an object: {line}"));
+        assert!(
+            fields
+                .iter()
+                .all(|(_, v)| !matches!(v, Json::Obj(_) | Json::Arr(_))),
+            "not flat: {line}"
+        );
+        assert_eq!(
+            obj.get("kind").and_then(Json::as_str),
+            Some(te.event.kind())
+        );
+        assert_eq!(obj.get("t").and_then(Json::as_u64), Some(te.cycle));
+        assert_eq!(
+            obj.get("node").and_then(Json::as_u64),
+            Some(u64::from(te.event.node().0))
+        );
+    }
 }
 
 #[test]
@@ -221,7 +215,8 @@ fn metrics_digest_is_identical_across_job_counts() {
     let run = |jobs: usize| {
         run_indexed(cells.len(), jobs, |i| {
             let (arch, p) = cells[i];
-            let (result, _events, _reg) = simulate_measured(&trace, arch, &traced_cfg(p), 50_000);
+            let (result, _events, _reg) =
+                simulate_measured_streamed(&trace, arch, &traced_cfg(p), 50_000, 0, |_| {});
             (result.metrics, result.cycles)
         })
     };
@@ -261,10 +256,7 @@ fn scoma_logs() -> Vec<(App, EventLog)> {
         .into_iter()
         .map(|app| {
             let trace = app.build(SizeClass::Tiny, 4096);
-            (
-                app,
-                simulate_traced(&trace, Arch::Scoma, &traced_cfg(0.9)).1,
-            )
+            (app, traced(&trace, Arch::Scoma, &traced_cfg(0.9)).1)
         })
         .collect()
 }

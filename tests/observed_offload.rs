@@ -5,11 +5,8 @@
 //! in-thread run over the same sink stack leaves: the same decoded
 //! events, summary, metrics digest and snapshot sequence.
 
-use ascoma::machine::{
-    simulate_measured, simulate_measured_streamed, simulate_streamed, simulate_traced,
-    simulate_with_sink,
-};
-use ascoma::{Arch, RunResult, SimConfig};
+use ascoma::machine::{simulate_measured_streamed, simulate_streamed};
+use ascoma::{Arch, Machine, RunResult, SimConfig};
 use ascoma_obs::sink::BATCH;
 use ascoma_obs::{EventLog, MetricsRegistry, Snapshot, StreamSink, SummaryFold};
 use ascoma_workloads::trace::Trace;
@@ -43,7 +40,7 @@ fn reference(trace: &Trace, arch: Arch, cfg: &SimConfig) -> Reference {
         CADENCE,
         |s| snaps.push(s),
     );
-    let (mut result, mut sink) = simulate_with_sink(trace, arch, cfg, sink);
+    let (mut result, mut sink) = Machine::with_sink(trace, arch, cfg, sink).run_into();
     sink.snapshot_now(result.cycles);
     let ((log, summary), registry) = sink.into_parts();
     result.obs = Some(summary.finish());
@@ -97,22 +94,6 @@ fn every_observed_entry_point_equals_an_in_thread_run() {
                 "{cell}: measured_streamed registry"
             );
             assert_snaps(&cell, caller, got, &want.snaps);
-
-            let (r, log, registry) = simulate_measured(&trace, arch, &cfg, WINDOW);
-            assert_eq!(r, want.result, "{cell}: measured result");
-            assert_eq!(log, want.log, "{cell}: measured log");
-            assert_eq!(registry, want.registry, "{cell}: measured registry");
-
-            let (r, log) = simulate_traced(&trace, arch, &cfg);
-            assert_eq!(
-                r,
-                RunResult {
-                    metrics: None,
-                    ..want.result.clone()
-                },
-                "{cell}: traced result"
-            );
-            assert_eq!(log, want.log, "{cell}: traced log");
 
             let mut got: Delivered = Vec::new();
             let (r, registry) = simulate_streamed(&trace, arch, &cfg, WINDOW, CADENCE, |s| {

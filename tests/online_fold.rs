@@ -3,7 +3,7 @@
 //! must agree exactly with the offline folds (`summarize`,
 //! `MetricsRegistry::from_events`) over the stream they return.
 
-use ascoma::machine::{simulate_measured_streamed, simulate_traced};
+use ascoma::machine::simulate_measured_streamed;
 use ascoma::{Arch, SimConfig};
 use ascoma_obs::{
     summarize, summarize_lossy, Event, EventLog, EvictCause, MapMode, MetricsRegistry, Sink,
@@ -40,7 +40,8 @@ fn online_folds_equal_offline_folds_for_every_arch() {
         assert!(violations.is_empty(), "{name}: {violations:?}");
         assert_eq!(lossy, summary);
 
-        let (rt, traced) = simulate_traced(&trace, arch, &cfg);
+        // The recording-only call `inspect trace` makes.
+        let (rt, traced, _) = simulate_measured_streamed(&trace, arch, &cfg, 0, 0, |_| {});
         assert_eq!(traced, events, "{name}: same stream either way");
         assert_eq!(rt.obs, Some(summary), "{name}: traced summary");
     }

@@ -4,7 +4,7 @@
 //! digests — for every `(app, arch, pressure)` cell.
 
 use ascoma::experiments::{assemble_figure, figure_grid, run_cells, Cell};
-use ascoma::machine::simulate_traced;
+use ascoma::machine::simulate_measured_streamed;
 use ascoma::parallel::run_indexed;
 use ascoma::{Arch, SimConfig};
 use ascoma_workloads::{App, SizeClass};
@@ -49,9 +49,9 @@ fn traced_runs_agree_across_workers() {
     cfg.obs_sample_period = 50_000;
     for app in APPS {
         let trace = app.build(SizeClass::Tiny, cfg.geometry.page_bytes());
-        let (serial, serial_events) = simulate_traced(&trace, Arch::AsComa, &cfg);
-        let traced = run_indexed(2, 2, |_| simulate_traced(&trace, Arch::AsComa, &cfg));
-        for (r, events) in &traced {
+        let traced = || simulate_measured_streamed(&trace, Arch::AsComa, &cfg, 0, 0, |_| {});
+        let (serial, serial_events, _) = traced();
+        for (r, events, _) in &run_indexed(2, 2, |_| traced()) {
             assert_eq!(&serial, r, "{app:?} traced run diverged");
             assert_eq!(&serial_events, events, "{app:?} event stream diverged");
             assert!(r.obs.is_some() && r.obs == serial.obs);

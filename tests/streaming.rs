@@ -6,7 +6,7 @@
 //! serially or fanned across workers.
 
 use ascoma::experiments::{figure_grid, run_cells, Cell, StreamSpec};
-use ascoma::machine::{simulate_measured, simulate_measured_streamed, simulate_streamed};
+use ascoma::machine::{simulate_measured_streamed, simulate_streamed};
 use ascoma::{simulate, Arch, SimConfig};
 use ascoma_obs::{Snapshot, StreamEvent};
 use ascoma_workloads::{App, SizeClass};
@@ -51,7 +51,8 @@ fn streamed_run_result_matches_plain() {
 fn measured_streamed_matches_measured() {
     let cfg = base_cfg();
     let trace = App::Radix.build(SizeClass::Tiny, cfg.geometry.page_bytes());
-    let (r_off, ev_off, reg_off) = simulate_measured(&trace, Arch::AsComa, &cfg, WINDOW);
+    let (r_off, ev_off, reg_off) =
+        simulate_measured_streamed(&trace, Arch::AsComa, &cfg, WINDOW, 0, |_| {});
     let mut snaps = 0u64;
     let (r_on, ev_on, reg_on) =
         simulate_measured_streamed(&trace, Arch::AsComa, &cfg, WINDOW, CADENCE, |_| snaps += 1);
