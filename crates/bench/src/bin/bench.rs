@@ -34,7 +34,7 @@ use ascoma_bench::diff::{diff, Severity};
 use ascoma_bench::experiments::{self, REGISTRY, SWEEP};
 use ascoma_bench::report::render_html;
 use ascoma_bench::watch::{line_for, render, WatchState};
-use ascoma_bench::{build_traces, die, jobs, num, pacing, pressure, text, usage, value, Options};
+use ascoma_bench::{build_traces, die, num, pacing, pressure, text, usage, value, Options};
 use ascoma_obs::json;
 use ascoma_obs::metrics::DEFAULT_WINDOW;
 use ascoma_obs::{parse_stream_line, StreamEvent};
@@ -49,7 +49,6 @@ fn main() {
         Some("soak-report") => soak_report_cmd(&args[1..]),
         Some("diff") => diff_cmd(&args[1..]),
         Some("watch") => watch_cmd(&args[1..]),
-        Some("ablate") => ablate_cmd(&args[1..]),
         Some("--help") | Some("-h") | None => {
             let mut help = String::from("usage: bench <experiment> [options]\n\nexperiments:\n");
             for e in REGISTRY {
@@ -61,7 +60,6 @@ fn main() {
                 (default results/FAULT_soak.json)\n\
                 \x20 diff OLD NEW            compare two baseline JSON files\n\
                 \x20 watch [options]         live dashboard for a sweep\n\
-                \x20 ablate [options]        auto-tuned vs. static back-off constants\n\
                 \nrun `bench <name> --help` for a subcommand's options";
             eprintln!("{help}");
             std::process::exit(if args.is_empty() { 2 } else { 0 });
@@ -188,63 +186,6 @@ fn report_cmd(args: &[String]) {
             );
         }
         None => print!("{html}"),
-    }
-}
-
-/// `bench ablate`: run the static-vs-auto controller ablation grid and
-/// write the deterministic JSON (and optionally the HTML report).
-fn ablate_cmd(args: &[String]) {
-    let mut grid_name = String::from("reduced");
-    let mut workers: Option<usize> = None;
-    let mut json_out: Option<String> = None;
-    let mut html_out: Option<String> = None;
-    let mut it = args.iter().cloned();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--grid" => grid_name = value(&mut it, &a, text),
-            "--jobs" | "-j" => workers = Some(value(&mut it, &a, jobs)),
-            "--json" => json_out = Some(value(&mut it, &a, text)),
-            "--out" => html_out = Some(value(&mut it, &a, text)),
-            "--help" | "-h" => {
-                eprintln!(
-                    "bench ablate: sweep AS-COMA with the back-off auto-tuner on vs. the\n\
-                     paper's static constants (ROADMAP item 4)\n\
-                     \n\
-                     options:\n\
-                     \x20 --grid reduced|full  cell grid (default reduced: the CI smoke grid)\n\
-                     \x20 --jobs N             worker threads (default ASCOMA_JOBS or host cores)\n\
-                     \x20 --json FILE          write the bench-diff-compatible JSON here\n\
-                     \x20                      (default stdout; deterministic except wall_secs)\n\
-                     \x20 --out FILE           also write the self-contained HTML report"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown ablate option '{other}'")),
-        }
-    }
-    let g = ascoma_bench::ablate::grid(&grid_name)
-        .unwrap_or_else(|| die(&format!("unknown grid '{grid_name}' (want reduced|full)")));
-    let base = SimConfig::default();
-    let jobs = ascoma::parallel::effective_jobs(workers);
-    let clock = pacing::Clock::start();
-    let cells = ascoma_bench::ablate::run_grid(&g, &base, jobs);
-    let wall = clock.elapsed_secs();
-    let json_text = ascoma_bench::ablate::to_json(&g, &cells, Some(wall));
-    match &json_out {
-        Some(path) => {
-            std::fs::write(path, &json_text).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-            eprintln!(
-                "{} cells ({} grid) in {wall:.1}s -> {path}",
-                cells.len(),
-                g.name
-            );
-        }
-        None => print!("{json_text}"),
-    }
-    if let Some(path) = &html_out {
-        let html = ascoma_bench::ablate::render_html(&g, &cells);
-        std::fs::write(path, &html).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-        eprintln!("wrote {path} ({} bytes)", html.len());
     }
 }
 

@@ -22,7 +22,7 @@ use ascoma::machine::simulate_measured_streamed;
 use ascoma::{Arch, SimConfig};
 use ascoma_bench::{die, num, pressure, text, usage, value, Flag, Options};
 use ascoma_obs::export::{chrome_trace, jsonl};
-use ascoma_obs::{summarize_lossy, EventLog};
+use ascoma_obs::Summary;
 use ascoma_workloads::analyze::profile;
 use ascoma_workloads::stats::{render, trace_stats};
 use ascoma_workloads::{App, SizeClass};
@@ -138,7 +138,11 @@ fn trace_cmd(args: &[String]) {
         simulate_measured_streamed(&trace, o.arch, &o.cfg, 0, 0, |_| {});
 
     if o.summary {
-        print_summary(&trace.name, o.arch, o.cfg.pressure, &events, trace.nodes);
+        let s = result
+            .obs
+            .as_ref()
+            .unwrap_or_else(|| die("the run attached no summary"));
+        print_summary(&trace.name, o.arch, o.cfg.pressure, s);
         return;
     }
 
@@ -182,18 +186,12 @@ fn trace_cmd(args: &[String]) {
 /// Per-page relocation table in the spirit of Table 6: for every
 /// `(node, page)` pair that the trace touched, how many times it was
 /// mapped, upgraded CC-NUMA -> S-COMA, declined, and evicted.
-fn print_summary(name: &str, arch: Arch, pressure: f64, events: &EventLog, nodes: usize) {
-    // Lossy fold: lifecycle breaks are printed as warnings here, so the
-    // table still renders.
-    let (s, lifecycle_violations) = summarize_lossy(events, nodes);
+fn print_summary(name: &str, arch: Arch, pressure: f64, s: &Summary) {
     println!(
         "== {name} on {} at {:.0}% pressure ==",
         arch.name(),
         pressure * 100.0
     );
-    for v in &lifecycle_violations {
-        println!("WARNING: illegal page lifecycle: {v}");
-    }
     println!(
         "{} events to cycle {}; {} maps, {} upgrades ({} declined), {} evictions",
         s.events, s.last_cycle, s.maps, s.upgrades, s.declined, s.evictions

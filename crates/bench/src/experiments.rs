@@ -20,6 +20,7 @@ use ascoma::parallel::run_indexed;
 use ascoma::probe::probe_table4;
 use ascoma::result::RunResult;
 use ascoma::{chart, presets, report, Arch, SimConfig};
+use ascoma_obs::{ControllerParams, Phase};
 use ascoma_workloads::analyze::profile;
 use ascoma_workloads::apps::em3d::Em3dParams;
 use ascoma_workloads::apps::micro;
@@ -72,6 +73,7 @@ pub const REGISTRY: &[Experiment] = registry! {
     ablation_associativity: "L1 associativity 1/2/4-way on barnes and em3d", &[];
     ablation_backoff: "AS-COMA thrashing back-off on vs off at high pressure",
         &[APPS, Flag::Pressures(&[0.7, 0.9]), SIZE];
+    ablation_controller: "back-off auto-tuner vs the paper's fixed constants (AS-COMA)", SWEEP;
     ablation_costs: "relocation-path kernel costs scaled 0.5x-4x at 90% pressure",
         &[Flag::Apps(&[App::Radix]), SIZE, JOBS];
     ablation_interconnect: "AS-COMA win under the paper and a high-end interconnect", &[];
@@ -342,6 +344,103 @@ fn ablation_backoff(o: &Options) -> (String, i32) {
             );
         }
     })
+}
+
+/// The back-off auto-tuner's constants at `size`: Tiny runs decide every
+/// 50K cycles so they still see several windows.
+fn controller_params(size: SizeClass) -> ControllerParams {
+    match size {
+        SizeClass::Tiny => ControllerParams {
+            window: 50_000,
+            ..ControllerParams::enabled()
+        },
+        _ => ControllerParams::enabled(),
+    }
+}
+
+/// Per pressure of `o`: AS-COMA with the controller off, then on.
+fn controller_variants(o: &Options) -> Vec<(Arch, SimConfig)> {
+    let params = controller_params(o.size);
+    let mut variants = Vec::new();
+    for &p in &o.pressures {
+        let fixed = SimConfig::at_pressure(p);
+        let auto = with(fixed, |c| c.controller = params);
+        variants.extend([(Arch::AsComa, fixed), (Arch::AsComa, auto)]);
+    }
+    variants
+}
+
+/// §5.2's back-off with the paper's fixed constants against the online
+/// auto-tuner that retunes `threshold_increment` and the daemon period
+/// per node (DESIGN.md §19), with every controller decision printed.
+fn ablation_controller(o: &Options) -> (String, i32) {
+    let c = controller_params(o.size);
+    let title = format!(
+        "back-off controller ablation: fixed constants vs auto-tuner (AS-COMA)\n\
+         auto leg: window {}, ewma shift {}, hot {}/{}, cold {}, reclaim {}, backlog {}, \
+         confirm {}, inc {}..{}, period shift {}",
+        c.window,
+        c.ewma_shift,
+        c.hot_enter,
+        c.hot_exit,
+        c.cold_enter,
+        c.reclaim_enter,
+        c.backlog_enter,
+        c.confirm,
+        c.inc_min,
+        c.inc_max,
+        c.period_shift_max,
+    );
+    // [auto faster, tied, static faster], indexed by `auto.cmp(static)`.
+    let mut tally = [0usize; 3];
+    let (mut s, code) = per_app(&title, o, &controller_variants(o), |s, runs| {
+        for (&p, pair) in o.pressures.iter().zip(runs.chunks_exact(2)) {
+            let (fixed, auto) = (&pair[0], &pair[1]);
+            tally[(auto.cycles.cmp(&fixed.cycles) as i8 + 1) as usize] += 1;
+            let _ = writeln!(
+                s,
+                "  pressure {p:.2}: static {} auto {} ({:+}) decisions {}",
+                fixed.cycles,
+                auto.cycles,
+                auto.cycles as i128 - fixed.cycles as i128,
+                auto.controller.as_ref().map_or(0, |cs| cs.decisions),
+            );
+            for n in auto.controller.iter().flat_map(|cs| &cs.per_node) {
+                let _ = writeln!(
+                    s,
+                    "    node {}: {} phase changes, {} tunes, final {} inc {} period {}",
+                    n.node,
+                    n.phase_changes,
+                    n.tunes,
+                    n.final_phase.tag(),
+                    n.final_inc,
+                    n.final_period,
+                );
+                s.push_str("      dwell");
+                for (ph, d) in Phase::ALL.iter().zip(n.dwell) {
+                    let _ = write!(s, " {} {d}", ph.tag());
+                }
+                s.push_str("\n      knobs");
+                for k in &n.knob_trajectory {
+                    let _ = write!(s, " {}:{}/{}", k.window, k.inc, k.period);
+                }
+                s.push_str("\n      phases");
+                for ph in &n.phase_trajectory {
+                    let _ = write!(s, " {}:{}", ph.window, ph.phase.tag());
+                }
+                s.push('\n');
+            }
+        }
+    });
+    let [auto_wins, ties, static_wins] = tally;
+    let _ = writeln!(
+        s,
+        "verdict: auto faster on {auto_wins}, tied on {ties}, static faster on {static_wins} \
+         of {} cells; auto <= static on a majority: {}",
+        auto_wins + ties + static_wins,
+        (auto_wins + ties) * 2 >= auto_wins + ties + static_wins,
+    );
+    (s, code)
 }
 
 /// Kernel-cost sensitivity: the relocation-path costs (interrupt,
@@ -662,6 +761,52 @@ mod tests {
         assert_eq!(parse("ablation_alloc", "").unwrap().pressures, [0.1]);
         let o = parse("ablation_alloc", PAPER_ARGS).unwrap();
         assert_eq!(o.pressures, PAPER_PRESSURES);
+    }
+
+    #[test]
+    fn ablation_controller_defaults_are_the_full_grid() {
+        let o = parse("ablation_controller", "").unwrap();
+        assert_eq!(o.apps, App::ALL);
+        assert_eq!(o.pressures, PAPER_PRESSURES);
+        assert_eq!(o.size, SizeClass::Default);
+        assert_eq!(controller_params(o.size), ControllerParams::enabled());
+        assert_eq!(controller_params(SizeClass::Tiny).window, 50_000);
+        let legs = controller_variants(&o);
+        assert_eq!(legs.len(), 2 * PAPER_PRESSURES.len());
+        for pair in legs.chunks_exact(2) {
+            assert!(!pair[0].1.controller.enabled && pair[1].1.controller.enabled);
+        }
+    }
+
+    #[test]
+    fn ablation_controller_verdict_tallies_the_printed_cycles() {
+        let o = parse(
+            "ablation_controller",
+            "--app em3d --pressure 0.9 --size tiny",
+        )
+        .unwrap();
+        let traces = build_traces(&o.apps, o.size, &SimConfig::default(), 1);
+        let runs = &cross(&traces, &controller_variants(&o), 1)[0];
+        assert!(runs[0].controller.is_none());
+        let cs = runs[1].controller.as_ref().expect("auto leg summary");
+        assert_eq!(cs.window, 50_000);
+
+        let (text, code) = ablation_controller(&o);
+        assert_eq!(code, 0);
+        let cycles = format!("static {} auto {} (", runs[0].cycles, runs[1].cycles);
+        assert!(text.contains(&cycles), "{text}");
+        assert!(text.contains(&format!("decisions {}", cs.decisions)));
+        assert_eq!(text.matches("    node ").count(), cs.per_node.len());
+        let tally = match runs[1].cycles.cmp(&runs[0].cycles) {
+            std::cmp::Ordering::Less => "auto faster on 1, tied on 0, static faster on 0",
+            std::cmp::Ordering::Equal => "auto faster on 0, tied on 1, static faster on 0",
+            std::cmp::Ordering::Greater => "auto faster on 0, tied on 0, static faster on 1",
+        };
+        let verdict = text.lines().last().unwrap();
+        assert!(
+            verdict.starts_with(&format!("verdict: {tally} of 1 cells")),
+            "{verdict}"
+        );
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! [`Flag`]s it honours with their defaults, so [`Options::parse`]
 //! rejects any other flag instead of silently ignoring or replacing it.
 //! This library also holds the `bench` subcommands' support modules
-//! (`ablate`, `diff`, `report`, `watch`) and the shared trace builder.
+//! (`diff`, `report`, `watch`) and the shared trace builder.
 
 #![warn(missing_docs)]
 
-pub mod ablate;
 pub mod diff;
 pub mod experiments;
 pub mod harness;

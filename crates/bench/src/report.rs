@@ -15,16 +15,16 @@ use std::fmt::Write as _;
 
 /// Fill colors for the six [`ExecBreakdown`] categories, in
 /// [`ExecBreakdown::LABELS`] order.
-pub(crate) const EXEC_COLORS: [&str; 6] = [
+const EXEC_COLORS: [&str; 6] = [
     "#d62728", "#9467bd", "#8c564b", "#1f77b4", "#2ca02c", "#ff7f0e",
 ];
 
 /// Colors cycled across per-node trajectory polylines.
-pub(crate) const LINE_COLORS: [&str; 8] = [
+const LINE_COLORS: [&str; 8] = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f",
 ];
 
-pub(crate) fn esc(s: &str) -> String {
+fn esc(s: &str) -> String {
     s.replace('&', "&amp;")
         .replace('<', "&lt;")
         .replace('>', "&gt;")

@@ -12,7 +12,7 @@ fn sized_experiments_render_identically_at_one_and_three_jobs() {
         .iter()
         .filter(|e| e.flags.iter().any(|f| matches!(f, Flag::Size(_))))
         .collect();
-    assert_eq!(sized.len(), 9, "table1/5/6, figures and five ablations");
+    assert_eq!(sized.len(), 10, "table1/5/6, figures and six ablations");
     for e in sized {
         let run = |jobs| {
             let o = Options {

@@ -364,11 +364,6 @@ impl ConformState {
     pub fn any_node_down(&self) -> bool {
         self.nodes.iter().any(|n| n.down)
     }
-
-    /// True if any directory shard is currently lost.
-    pub fn any_shard_down(&self) -> bool {
-        self.shard_down.iter().any(|&d| d)
-    }
 }
 
 /// One conformance transition.  `Issue`/`Complete` are application

@@ -192,11 +192,6 @@ pub struct Machine<'t, S: Sink = NoopSink> {
     ctl_window: u64,
     /// Next global time the controller fires (u64::MAX = off).
     next_control: Cycles,
-    /// Nodes currently crashed (fault-injection exploration).  Checker
-    /// builds only: release builds carry no fault state and the field —
-    /// along with the crash/rejoin hooks — compiles away entirely.
-    #[cfg(feature = "check")]
-    down: NodeSet,
 }
 
 impl<'t> Machine<'t> {
@@ -305,8 +300,6 @@ impl<'t, S: Sink> Machine<'t, S> {
             ctl_prev,
             ctl_window: 0,
             next_control,
-            #[cfg(feature = "check")]
-            down: NodeSet::empty(),
         }
     }
 
@@ -549,53 +542,9 @@ impl<'t, S: Sink> Machine<'t, S> {
                 || (self.arch == Arch::AsComa && self.cfg.policy.ascoma_backoff),
             threshold_capped: self.arch == Arch::AsComa && self.cfg.policy.ascoma_backoff,
             uses_page_cache: self.arch != Arch::CcNuma || self.cfg.policy.replicate_read_only,
-            #[cfg(feature = "check")]
-            down_nodes: self.down,
-            #[cfg(not(feature = "check"))]
             down_nodes: NodeSet::empty(),
             lost_pages: Vec::new(),
         }
-    }
-
-    /// Crash `node` (fault-injection exploration): its cache, TLB, page
-    /// table and frame pool die with it, and the home directories purge
-    /// it — surviving nodes see a fully isolated failure.  The node is
-    /// reported down to the invariant catalog (its dead local state is
-    /// skipped; `crash-isolation` verifies the purge) until
-    /// [`Machine::rejoin_node`].  Checker builds only; must be called
-    /// between scheduler steps (the machine models blocking processors,
-    /// so quiescent points have no transaction mid-flight).
-    #[cfg(feature = "check")]
-    pub fn crash_node(&mut self, node: NodeId) {
-        assert!(!self.down.contains(node), "node {node} is already down");
-        self.dir.purge_node(node);
-        self.down.insert(node);
-    }
-
-    /// Rejoin a crashed `node`: reset its page table to the cold unmapped
-    /// state (first-touch faulting re-establishes mappings on demand),
-    /// reconcile its frame pool, invalidate its caches and TLB, and
-    /// restart its pageout daemon.  The node leaves the down set and the
-    /// full catalog applies to it again.  Checker builds only.
-    #[cfg(feature = "check")]
-    pub fn rejoin_node(&mut self, node: NodeId) {
-        assert!(self.down.contains(node), "node {node} is not down");
-        let n = node.idx();
-        let shared_pages = self.trace.shared_pages;
-        let ctx = &mut self.nodes[n];
-        ctx.pt.rejoin_reset();
-        ctx.pool.rejoin_reconcile();
-        ctx.act.fill(ACT_FAULT);
-        ctx.l1.invalidate_all();
-        if let Some(rac) = &mut ctx.rac {
-            rac.invalidate_all();
-        }
-        for p in 0..shared_pages {
-            ctx.tlb.invalidate(VPage(p));
-        }
-        ctx.daemon = PageoutDaemon::new(ctx.period_base);
-        self.down.remove(node);
-        self.debug_check_frames(n);
     }
 
     /// Per-mutation frame-accounting hook (debug / `check` builds): after

@@ -104,13 +104,6 @@ impl LocalMemory {
         self.bus.transact(data_ready, bytes)
     }
 
-    /// A DRAM write of `bytes` at `addr` (e.g. the DSM controller storing a
-    /// fetched remote block into an S-COMA page).  Returns completion time.
-    pub fn local_store(&mut self, now: Cycles, addr: u64, bytes: u64) -> Cycles {
-        let req_done = self.bus.transact(now, bytes);
-        self.dram.access(req_done, addr)
-    }
-
     /// A RAC probe + hit: bus request, controller probe, line return.
     pub fn rac_fetch(&mut self, now: Cycles, bytes: u64) -> Cycles {
         let req_done = self.bus.transact(now, 0);

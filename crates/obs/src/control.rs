@@ -98,11 +98,6 @@ impl Phase {
     pub fn from_index(i: u64) -> Phase {
         *Phase::ALL.get(i as usize).unwrap_or(&Phase::Baseline)
     }
-
-    /// Parse a [`Phase::tag`] back to the phase.
-    pub fn parse(tag: &str) -> Option<Phase> {
-        Phase::ALL.iter().copied().find(|p| p.tag() == tag)
-    }
 }
 
 /// Which signal crossing drove a decision (cause attribution).
@@ -148,11 +143,6 @@ impl Cause {
         Cause::Recovered,
         Cause::Drift,
     ];
-
-    /// Parse a [`Cause::tag`] back to the cause.
-    pub fn parse(tag: &str) -> Option<Cause> {
-        Cause::ALL.into_iter().find(|c| c.tag() == tag)
-    }
 }
 
 /// Controller constants.  `Copy` so `SimConfig` stays `Copy`; all
@@ -303,7 +293,7 @@ pub struct KnobStep {
 }
 
 /// One point of a phase trajectory: the phase in force from `window`
-/// onward (the ablation report's phase-timeline strip).
+/// onward (`bench ablation_controller` prints each node's list).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseStep {
     /// Decision-window ordinal at which the phase took effect.
@@ -595,68 +585,6 @@ pub struct NodeControllerSummary {
     pub phase_trajectory: Vec<PhaseStep>,
 }
 
-impl ControllerSummary {
-    /// Hand-rolled JSON (same style as the metrics digest): stable key
-    /// order, integers only, `bench diff`-exact.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"decisions\":{},\"window\":{},\"nodes\":[",
-            self.decisions, self.window
-        );
-        for (i, n) in self.per_node.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"node\":{},\"phase_changes\":{},\"tunes\":{},\"final_phase\":\"{}\",\
-                 \"final_inc\":{},\"final_period\":{},\"dwell\":{{",
-                n.node,
-                n.phase_changes,
-                n.tunes,
-                n.final_phase.tag(),
-                n.final_inc,
-                n.final_period
-            );
-            for (j, p) in Phase::ALL.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "\"{}\":{}", p.tag(), n.dwell[j]);
-            }
-            s.push_str("},\"trajectory\":[");
-            for (j, k) in n.knob_trajectory.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "{{\"window\":{},\"inc\":{},\"period\":{}}}",
-                    k.window, k.inc, k.period
-                );
-            }
-            s.push_str("],\"phases\":[");
-            for (j, p) in n.phase_trajectory.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "{{\"window\":{},\"phase\":\"{}\"}}",
-                    p.window,
-                    p.phase.tag()
-                );
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-        s
-    }
-}
-
 /// Rebuild per-node knob trajectories from an exported JSONL trace
 /// (one event object per line; non-`tune_applied` lines are skipped,
 /// malformed lines are ignored).  `starts` seeds each node's first
@@ -735,20 +663,12 @@ mod tests {
 
     #[test]
     fn phase_and_cause_tags_round_trip() {
-        for p in Phase::ALL {
-            assert_eq!(Phase::parse(p.tag()), Some(p));
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
+            assert!(Phase::ALL[..i].iter().all(|q| q.tag() != p.tag()));
             assert_eq!(Phase::from_index(p.index() as u64), p);
         }
-        for c in [
-            Cause::RefetchHigh,
-            Cause::RefetchLow,
-            Cause::FreeLow,
-            Cause::BacklogHigh,
-            Cause::ReclaimSlow,
-            Cause::Recovered,
-            Cause::Drift,
-        ] {
-            assert_eq!(Cause::parse(c.tag()), Some(c));
+        for (i, c) in Cause::ALL.into_iter().enumerate() {
+            assert!(Cause::ALL[..i].iter().all(|d| d.tag() != c.tag()));
         }
         assert_eq!(Phase::from_index(99), Phase::Baseline);
     }
@@ -859,10 +779,6 @@ mod tests {
             n.phase_trajectory.last().map(|p| p.phase),
             Some(Phase::Pressure)
         );
-        assert!(s.to_json().contains("\"final_phase\":\"pressure\""));
-        assert!(s
-            .to_json()
-            .contains("\"phases\":[{\"window\":0,\"phase\":\"baseline\"}"));
     }
 
     #[test]

@@ -64,6 +64,6 @@ pub use metrics::{HistStat, MetricsDigest, MetricsRegistry};
 pub use sink::{BatchSink, NoopSink, Sink};
 pub use snapshot::{parse_stream_line, NodeSnap, Snapshot, StreamEvent, StreamSink};
 pub use summary::{
-    summarize, summarize_lossy, DaemonEpochRecord, LifecycleViolation, PageLifecycle, Summary,
-    SummaryFold, ThresholdStep,
+    summarize, DaemonEpochRecord, LifecycleViolation, PageLifecycle, Summary, SummaryFold,
+    ThresholdStep,
 };

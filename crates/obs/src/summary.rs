@@ -4,8 +4,7 @@
 //! the optional digest attached to `RunResult`.
 //!
 //! [`SummaryFold`] is the one fold: observed runs feed it as a [`Sink`]
-//! while they execute, and [`summarize`] / [`summarize_lossy`] loop it
-//! over a recorded trace.
+//! while they execute, and [`summarize`] loops it over a recorded trace.
 
 use crate::event::{BackoffKind, Event, MapMode, TimedEvent};
 use crate::hash::FxHashMap;
@@ -153,7 +152,7 @@ struct PageSlot {
 /// The incremental form of [`summarize`]: feed events one at a time
 /// with [`Self::step`] (or use it as a [`Sink`], so the summary is built
 /// while a run executes), then take the [`Summary`] with
-/// [`Self::finish`] or [`Self::finish_lossy`].
+/// [`Self::finish`].
 ///
 /// A step is O(1): each (node, page) pair's lifecycle and legality state
 /// share one slot of a deterministically hashed table, and the sorted
@@ -320,9 +319,8 @@ impl SummaryFold {
         }
     }
 
-    /// The summary so far, with every lifecycle violation found —
-    /// for traces with a truncated prefix.
-    pub fn finish_lossy(self) -> (Summary, Vec<LifecycleViolation>) {
+    /// The summary so far, with every lifecycle violation found.
+    fn finish_lossy(self) -> (Summary, Vec<LifecycleViolation>) {
         let mut s = self.summary;
         s.pages = self
             .pages
@@ -384,25 +382,13 @@ fn touch(
 /// On an illegal page-lifecycle sequence — an `Evicted` before any
 /// frame-granting map, a second frame granted without an eviction in
 /// between, a refault of a never-mapped page.  A full event stream from
-/// one run must be legal; use [`summarize_lossy`] for truncated traces,
-/// where a cut-off prefix makes such sequences expected.
+/// one run must be legal.
 pub fn summarize<I>(events: I, nodes: usize) -> Summary
 where
     I: IntoIterator,
     I::Item: Borrow<TimedEvent>,
 {
     fold(events, nodes).finish()
-}
-
-/// Like [`summarize`], but collects lifecycle violations instead of
-/// panicking — for traces with a truncated prefix, where the stream may
-/// legitimately open mid-lifecycle.
-pub fn summarize_lossy<I>(events: I, nodes: usize) -> (Summary, Vec<LifecycleViolation>)
-where
-    I: IntoIterator,
-    I::Item: Borrow<TimedEvent>,
-{
-    fold(events, nodes).finish_lossy()
 }
 
 fn fold<I>(events: I, nodes: usize) -> SummaryFold
@@ -641,7 +627,7 @@ mod tests {
                 cause: EvictCause::Victim,
             },
         )];
-        let (s, violations) = summarize_lossy(evs, 4);
+        let (s, violations) = fold(evs, 4).finish_lossy();
         assert_eq!(s.evictions, 1);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].node, 2);

@@ -744,14 +744,6 @@ impl Directory {
         self.geometry
     }
 
-    /// Storage cost in bits per block entry (Table 2 reproduction):
-    /// copyset presence bits per node + owner id + dirty flag.
-    pub fn bits_per_block(&self) -> u32 {
-        // copyset (1 bit/node) + ever/induced bookkeeping is simulator-side;
-        // hardware cost = copyset + owner + dirty.
-        self.nodes as u32 + 6 + 1
-    }
-
     /// Structural self-check of one block entry.  Returns the first
     /// violated rule, if any.
     fn entry_error(&self, b: usize) -> Option<String> {

@@ -19,4 +19,4 @@ pub mod msg;
 #[cfg(feature = "check")]
 pub use directory::DirFault;
 pub use directory::{Directory, FetchClass, FetchOutcome};
-pub use msg::{MsgKind, ProtoStats};
+pub use msg::ProtoStats;

@@ -1,72 +1,13 @@
-//! Protocol message vocabulary and transaction statistics.
+//! Protocol transaction statistics.
 //!
-//! The paper's DSM controller (Figure 1) exchanges a small vocabulary of
-//! messages between requester, home, and (for dirty blocks) owner nodes.
-//! [`MsgKind`] names them; [`ProtoStats`] counts them and the transaction
-//! shapes they compose into (2-hop clean fetches, 3-hop dirty forwards,
-//! invalidation fan-outs, writebacks, relocation notices).  The machine
-//! layer records into these counters as it charges latencies, giving the
-//! protocol-level traffic reports the evaluation section summarizes
-//! ("DSM data is moved in 128-byte chunks to amortize the cost of remote
-//! communication").
-
-/// Protocol message types on the interconnect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MsgKind {
-    /// Requester → home: fetch a block (read or write-exclusive).
-    Fetch,
-    /// Home → owner: forward a fetch to the dirty owner.
-    Forward,
-    /// Data response carrying one DSM block.
-    Data,
-    /// Home → sharer: invalidate a block.
-    Invalidate,
-    /// Sharer → home: invalidation acknowledged.
-    InvalAck,
-    /// Owner → home: dirty block written back.
-    Writeback,
-    /// Requester → home: permission-only upgrade request.
-    Upgrade,
-    /// Home → requester: grant (no data payload).
-    Grant,
-}
-
-impl MsgKind {
-    /// All message kinds, for iteration in reports.
-    pub const ALL: [MsgKind; 8] = [
-        MsgKind::Fetch,
-        MsgKind::Forward,
-        MsgKind::Data,
-        MsgKind::Invalidate,
-        MsgKind::InvalAck,
-        MsgKind::Writeback,
-        MsgKind::Upgrade,
-        MsgKind::Grant,
-    ];
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            MsgKind::Fetch => "FETCH",
-            MsgKind::Forward => "FORWARD",
-            MsgKind::Data => "DATA",
-            MsgKind::Invalidate => "INVAL",
-            MsgKind::InvalAck => "INVAL-ACK",
-            MsgKind::Writeback => "WRITEBACK",
-            MsgKind::Upgrade => "UPGRADE",
-            MsgKind::Grant => "GRANT",
-        }
-    }
-
-    /// Payload bytes carried (blocks for data-bearing messages, header
-    /// only otherwise).
-    pub fn payload_bytes(self, block_bytes: u64) -> u64 {
-        match self {
-            MsgKind::Data | MsgKind::Writeback => block_bytes,
-            _ => 0,
-        }
-    }
-}
+//! The paper's DSM controller (Figure 1) exchanges messages between
+//! requester, home, and (for dirty blocks) owner nodes.  [`ProtoStats`]
+//! counts the transaction shapes they compose into (2-hop clean fetches,
+//! 3-hop dirty forwards, invalidation fan-outs, writebacks, relocation
+//! notices).  The machine layer records into these counters as it
+//! charges latencies, giving the protocol-level traffic reports the
+//! evaluation section summarizes ("DSM data is moved in 128-byte chunks
+//! to amortize the cost of remote communication").
 
 /// Protocol-level transaction and message counters for one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -150,22 +91,6 @@ impl ProtoStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn message_payloads() {
-        assert_eq!(MsgKind::Data.payload_bytes(128), 128);
-        assert_eq!(MsgKind::Writeback.payload_bytes(128), 128);
-        assert_eq!(MsgKind::Fetch.payload_bytes(128), 0);
-        assert_eq!(MsgKind::Invalidate.payload_bytes(128), 0);
-    }
-
-    #[test]
-    fn names_are_unique() {
-        let mut names: Vec<&str> = MsgKind::ALL.iter().map(|m| m.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), MsgKind::ALL.len());
-    }
 
     #[test]
     fn fetch_shapes_classify() {

@@ -42,12 +42,6 @@ impl Resource {
         start
     }
 
-    /// Convenience: reserve and return the *completion* time.
-    #[inline]
-    pub fn acquire_through(&mut self, now: Cycles, occupancy: Cycles) -> Cycles {
-        self.acquire(now, occupancy) + occupancy
-    }
-
     /// The earliest time a new requester could start service.
     #[inline]
     pub fn free_at(&self) -> Cycles {

@@ -261,14 +261,6 @@ impl PageTable {
         self.referenced[page.0 as usize] = 1;
     }
 
-    /// Fused [`PageTable::touch`] + [`PageTable::mode`]: sets the
-    /// reference bit and returns the page's mode in one call.
-    #[inline]
-    pub fn touch_and_mode(&mut self, page: VPage) -> PageMode {
-        self.referenced[page.0 as usize] = 1;
-        self.e(page).mode
-    }
-
     /// Read and clear the reference bit (the pageout daemon's second-chance
     /// step).
     pub fn test_and_clear_referenced(&mut self, page: VPage) -> bool {

@@ -123,19 +123,6 @@ pub fn sweep(seg: &mut Segment, base: u64, bytes: u64, stride: u64, write: bool)
     }
 }
 
-/// Append a strided sweep over a region slice `[offset, offset + bytes)`.
-pub fn sweep_region(
-    seg: &mut Segment,
-    r: Region,
-    offset: u64,
-    bytes: u64,
-    stride: u64,
-    write: bool,
-) {
-    debug_assert!(offset + bytes <= r.bytes);
-    sweep(seg, r.base + offset, bytes, stride, write);
-}
-
 /// Append a private-memory sweep (node-local scratch/stack traffic).
 pub fn sweep_private(seg: &mut Segment, offset: u64, bytes: u64, stride: u64, write: bool) {
     let mut a = offset;

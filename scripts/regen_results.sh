@@ -23,6 +23,8 @@ bench table6                     > results/table6.txt
 run inspect                      > results/inspect.txt
 bench ablation_alloc             > results/ablation_alloc.txt
 bench ablation_backoff           > results/ablation_backoff.txt
+bench ablation_controller --size tiny --app em3d,ocean,radix --pressure 0.3,0.7,0.9 \
+    > results/ablation_controller.txt
 bench ablation_rac --app fft,em3d > results/ablation_rac.txt
 bench ablation_replication       > results/ablation_replication.txt
 bench ablation_threshold         > results/ablation_threshold.txt

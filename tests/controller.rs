@@ -85,7 +85,7 @@ fn disabled_controller_with_tuned_constants_is_inert() {
 
 #[test]
 fn ablation_auto_leg_never_loses_its_summary() {
-    // The static/auto leg pairs `bench ablate` builds, per pressure.
+    // The static/auto leg pairs `bench ablation_controller` builds at Tiny size.
     let trace = App::Em3d.build(SizeClass::Tiny, auto_cfg(0.7).geometry.page_bytes());
     let mut cells = Vec::new();
     for pressure in [0.7, 0.9] {
