@@ -12,7 +12,6 @@
 
 pub mod diff;
 pub mod experiments;
-pub mod harness;
 pub mod pacing;
 pub mod report;
 pub mod watch;

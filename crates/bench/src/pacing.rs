@@ -3,7 +3,7 @@
 //!
 //! Simulation code must never observe the host clock (determinism), and
 //! benchmark measurement has its own audited `Instant` sites
-//! ([`crate::harness`], `benches/obs_overhead.rs`, `perf_baseline`).
+//! (`benches/obs_overhead.rs`, `benches/hotpath.rs`, `perf_baseline`).
 //! Everything else that needs wall time — dashboard frame rates, tail
 //! polling, elapsed/ETA stamps — goes through here, which is what lets
 //! `clippy.toml` disallow `Instant::now` and `thread::sleep` globally

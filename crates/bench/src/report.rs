@@ -375,15 +375,15 @@ mod tests {
                 "seed":7,"walks":100,"steps_per_walk":64,"soak_steps":3200,
                 "faults_injected":300,"recoveries":250,"soak_violations":0,
                 "soak_wall_ms":12,
-                "kinds":{"complete":1200,"fault-crash":120,"recover-rejoin":120}}"#,
+                "kinds":{"complete":1200,"fault-drop":120,"recover-resend":120}}"#,
         )
         .unwrap();
         let html = render_soak_html(&summary);
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("3n-2p-2b-4ops-ascoma-f3"));
         assert!(html.contains("300 faults injected"));
-        assert!(html.contains("fault-crash"));
-        assert!(html.contains("recover-rejoin"));
+        assert!(html.contains("fault-drop"));
+        assert!(html.contains("recover-resend"));
         assert!(html.contains("<svg"));
         assert!(html.ends_with("</body></html>\n"));
         assert!(!html.contains("<script"));

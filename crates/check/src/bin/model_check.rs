@@ -15,17 +15,15 @@
 //!   max-back-off latch actually covered*, and the seeded `skip-reset`
 //!   fault must produce a livelock witness.
 //! * `faults` — the bounded-fault gate: every conformance configuration
-//!   explores completely with `k ∈ {0,1,2}` injected faults
-//!   (drop/duplicate/crash/shard-loss) and zero violations, recovery is
-//!   provably lasso-free (no crash→rejoin or lose→rebuild livelock), and
-//!   every seeded recovery bug must be caught with a ddmin-shrunk
-//!   counterexample.
+//!   explores completely with `k ∈ {0,1,2}` injected message faults
+//!   (drop/duplicate) and zero violations, and recovery is provably
+//!   lasso-free (no drop→resend livelock).
 //! * `soak` — a seeded random fault walk over a configuration larger
 //!   than the exhaustive gates reach, reporting action-kind coverage and
 //!   writing a deterministic JSON summary (default
 //!   `results/FAULT_soak.json`) that `bench report` renders.
 
-use ascoma_check::conform::{ConformAction, ConformConfig, ConformHarness, ConformMutation};
+use ascoma_check::conform::{ConformConfig, ConformHarness, ConformMutation};
 use ascoma_check::explore::{bfs, dpor};
 use ascoma_check::liveness::find_lasso;
 use ascoma_check::shrink::shrink;
@@ -235,24 +233,6 @@ fn liveness(max_states: usize, out_dir: &Path) -> bool {
     ok
 }
 
-/// The configuration each seeded *recovery* bug is seeded into: the
-/// smallest fault-enabled configuration whose action set can expose
-/// it.  Directory bugs need only crash (purge) or lose/rebuild
-/// traffic; rejoin bugs need a node that held an S-COMA page or a
-/// page-cache frame when it died, so they ride the remap config.
-fn recovery_fault_config(m: ConformMutation) -> ConformConfig {
-    let base = match m {
-        ConformMutation::RebuildSkipsDirty | ConformMutation::PurgeSkipsBlock => {
-            ConformConfig::coherence(2, 1, 1, 2)
-        }
-        _ => ConformConfig::remap(2, 2, 1, 3),
-    };
-    ConformConfig {
-        mutation: Some(m),
-        ..base.with_faults(1)
-    }
-}
-
 /// `faults` subcommand body: the bounded-fault conformance gate.
 fn faults(max_states: usize, out_dir: &Path) -> bool {
     let mut ok = true;
@@ -324,10 +304,10 @@ fn faults(max_states: usize, out_dir: &Path) -> bool {
             }
         }
     }
-    println!("== recovery liveness (crash/rejoin and lose/rebuild must terminate)");
+    println!("== recovery liveness (drop/resend must terminate)");
     for cfg in ConformConfig::fault_liveness_suite() {
         let h = ConformHarness::new(cfg);
-        let out = match find_lasso(&h, max_states, |s| s.any_node_down()) {
+        let out = match find_lasso(&h, max_states, |s| s.any_pending_dropped()) {
             Ok(out) => out,
             Err(e) => {
                 println!("{}: ERROR: {e}", cfg.label());
@@ -336,7 +316,7 @@ fn faults(max_states: usize, out_dir: &Path) -> bool {
             }
         };
         println!(
-            "{}: {} states, {} transitions, {} crashed states{}",
+            "{}: {} states, {} transitions, {} dropped-transaction states{}",
             cfg.label(),
             out.states,
             out.transitions,
@@ -362,60 +342,8 @@ fn faults(max_states: usize, out_dir: &Path) -> bool {
             ok = false;
         }
         if out.interesting == 0 {
-            println!("  VACUOUS: no crashed state ever reached");
+            println!("  VACUOUS: no dropped-transaction state ever reached");
             ok = false;
-        }
-    }
-    println!("== seeded recovery faults (must be detected)");
-    for m in ConformMutation::RECOVERY {
-        let cfg = recovery_fault_config(m);
-        let h = ConformHarness::new(cfg);
-        let out = bfs(&h, max_states);
-        match out.violation {
-            Some(cex) => {
-                let trace = shrink(&h, &cex.invariant, &cex.detail, &cex.trace);
-                let detail = match replay_on(&h, &trace) {
-                    Some((_, d)) => d,
-                    None => cex.detail.clone(),
-                };
-                // A recovery bug's minimized witness must still
-                // contain the fault that triggered it.
-                let has_fault = trace.iter().any(|a| {
-                    matches!(
-                        a,
-                        ConformAction::Crash { .. }
-                            | ConformAction::LoseShard { .. }
-                            | ConformAction::DropMsg { .. }
-                            | ConformAction::DupMsg { .. }
-                    )
-                });
-                println!(
-                    "{}: detected [{}] {} ({} steps, shrunk from {})",
-                    cfg.label(),
-                    cex.invariant,
-                    detail,
-                    trace.len(),
-                    cex.trace.len()
-                );
-                if !has_fault {
-                    println!("  BAD SHRINK: minimized trace lost its fault schedule");
-                    ok = false;
-                }
-                let small = Cex {
-                    invariant: cex.invariant,
-                    detail,
-                    trace,
-                };
-                write_trace(out_dir, &cfg.label(), &small.to_jsonl(&h));
-            }
-            None => {
-                println!(
-                    "{}: NOT DETECTED: recovery fault {} escaped the checker",
-                    cfg.label(),
-                    m.name()
-                );
-                ok = false;
-            }
         }
     }
     ok

@@ -68,15 +68,7 @@ impl Invariant for DirectoryCacheAgreement {
     fn check(&self, v: &MachineView<'_>, out: &mut Vec<Violation>) {
         let bpp = v.geometry.blocks_per_page();
         for n in &v.nodes {
-            if v.node_down(n.id) {
-                continue;
-            }
             for &page in n.pt.scoma_pages() {
-                if v.page_lost(page) {
-                    // The shard's copysets were wiped, not the survivors'
-                    // copies; agreement resumes after the rebuild.
-                    continue;
-                }
                 for i in 0..bpp {
                     if n.pt.block_valid(page, i) {
                         let block = v.geometry.block_id(page, i);
@@ -116,11 +108,9 @@ impl Invariant for DirectoryWellFormed {
     }
 }
 
-/// **Frame conservation**: on every *live* node, free frames plus
-/// S-COMA-resident pages exactly cover the page-cache partition
-/// (`free + resident == total - home`).  Crashed nodes are exempt until
-/// they rejoin (their local state died with them) — conservation "modulo
-/// crashed nodes".
+/// **Frame conservation**: on every node, free frames plus S-COMA-resident
+/// pages exactly cover the page-cache partition
+/// (`free + resident == total - home`).
 pub struct FrameConservation;
 
 impl Invariant for FrameConservation {
@@ -130,9 +120,6 @@ impl Invariant for FrameConservation {
 
     fn check(&self, v: &MachineView<'_>, out: &mut Vec<Violation>) {
         for n in &v.nodes {
-            if v.node_down(n.id) {
-                continue;
-            }
             let free = n.pool.free_count();
             let resident = n.pt.scoma_count() as u32;
             let cache = n.pool.cache_frames();
@@ -160,9 +147,6 @@ impl Invariant for FrameOwnership {
 
     fn check(&self, v: &MachineView<'_>, out: &mut Vec<Violation>) {
         for n in &v.nodes {
-            if v.node_down(n.id) {
-                continue;
-            }
             if let Err(e) = n.pool.validate() {
                 violation(self.name(), Some(n.id), e, out);
             }
@@ -222,9 +206,6 @@ impl Invariant for ResidencyConsistency {
 
     fn check(&self, v: &MachineView<'_>, out: &mut Vec<Violation>) {
         for n in &v.nodes {
-            if v.node_down(n.id) {
-                continue;
-            }
             if let Err(e) = n.pt.validate() {
                 violation(self.name(), Some(n.id), e, out);
             }
@@ -245,9 +226,6 @@ impl Invariant for HomeModeConsistency {
         for (p, &home) in v.homes.iter().enumerate() {
             let page = VPage(p as u64);
             for n in &v.nodes {
-                if v.node_down(n.id) {
-                    continue;
-                }
                 let mode = n.pt.mode(page);
                 if mode == PageMode::Home && n.id != home {
                     violation(
@@ -295,9 +273,6 @@ impl Invariant for ReplicaLegality {
                 );
             }
             for h in holders.iter() {
-                if v.node_down(h) {
-                    continue;
-                }
                 let holder = &v.nodes[h.idx()];
                 if !holder.pt.mode(page).is_scoma() {
                     violation(
@@ -330,9 +305,6 @@ impl Invariant for PageCacheUsage {
             return;
         }
         for n in &v.nodes {
-            if v.node_down(n.id) {
-                continue;
-            }
             if n.pt.scoma_count() != 0 {
                 violation(
                     self.name(),
@@ -361,9 +333,6 @@ impl Invariant for ThresholdLegality {
 
     fn check(&self, v: &MachineView<'_>, out: &mut Vec<Violation>) {
         for n in &v.nodes {
-            if v.node_down(n.id) {
-                continue;
-            }
             if n.threshold < v.initial_threshold {
                 violation(
                     self.name(),
@@ -409,62 +378,6 @@ impl Invariant for ThresholdLegality {
     }
 }
 
-/// **Crash isolation**: the surviving machine holds no reference to a
-/// crashed node — the directory's purge completed.  A down node appears
-/// in no block's copyset, owns nothing dirty, holds no replica
-/// registration, and has zero refetch counters everywhere.  (The down
-/// node's *own* tables are dead state and deliberately unexamined.)
-pub struct CrashIsolation;
-
-impl Invariant for CrashIsolation {
-    fn name(&self) -> &'static str {
-        "crash-isolation"
-    }
-
-    fn check(&self, v: &MachineView<'_>, out: &mut Vec<Violation>) {
-        for d in v.down_nodes.iter() {
-            for b in 0..v.total_blocks() {
-                let block = BlockId(b);
-                if v.dir.in_copyset(d, block) {
-                    violation(
-                        self.name(),
-                        Some(d),
-                        format!("down node still in copyset of block {b}"),
-                        out,
-                    );
-                }
-                if v.dir.owner_of(block) == Some(d) {
-                    violation(
-                        self.name(),
-                        Some(d),
-                        format!("down node still owns block {b} dirty"),
-                        out,
-                    );
-                }
-            }
-            for p in 0..v.shared_pages {
-                let page = VPage(p);
-                if v.dir.replicas_of(page).contains(d) {
-                    violation(
-                        self.name(),
-                        Some(d),
-                        format!("down node still registered as replica holder of page {page}"),
-                        out,
-                    );
-                }
-                if v.dir.refetch_count(page, d) != 0 {
-                    violation(
-                        self.name(),
-                        Some(d),
-                        format!("down node has live refetch counter on page {page}"),
-                        out,
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// **Trajectory monotonicity**: each node's threshold trajectory is
 /// well-formed — cycle stamps nondecreasing, every step an actual change,
 /// every recorded value at or above the initial threshold, and no steps
@@ -478,9 +391,6 @@ impl Invariant for TrajectoryMonotonicity {
 
     fn check(&self, v: &MachineView<'_>, out: &mut Vec<Violation>) {
         for n in &v.nodes {
-            if v.node_down(n.id) {
-                continue;
-            }
             if !v.threshold_adaptive && !n.trajectory.is_empty() {
                 violation(
                     self.name(),

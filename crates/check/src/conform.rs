@@ -28,36 +28,36 @@
 //! # Fault injection
 //!
 //! With [`ConformConfig::fault_budget`] `> 0` the explorer additionally
-//! injects up to that many *faults* per run: dropping or duplicating a
-//! node's in-flight directory transaction, crashing a node (its cache,
-//! TLB, page table, and frame pool die with it), and losing a directory
-//! shard's SRAM.  Each fault has a matching *free* recovery action —
-//! resend, rejoin, shard rebuild — enabled only by the flag its fault
-//! set, so recovery provably terminates (every fault consumes budget;
-//! no recovery action can re-enable itself).  Message *reordering* needs
-//! no action of its own: distinct nodes' in-flight transactions are
-//! already interleaved in every order by the explorer, and a single
-//! node's transactions are serial under the blocking-processor model.
+//! injects up to that many *message faults* per run: dropping or
+//! duplicating a node's in-flight directory transaction.  A dropped
+//! message has a matching *free* recovery action, `Resend`, enabled only
+//! by the flag the drop set, so recovery provably terminates (every
+//! fault consumes budget; no recovery action can re-enable itself).  A
+//! duplicate needs no recovery: its `Complete` applies the transaction
+//! twice.  Message *reordering* needs no action of its own: distinct
+//! nodes' in-flight transactions are already interleaved in every order
+//! by the explorer, and a single node's transactions are serial under
+//! the blocking-processor model.
 //!
 //! Fault runs carry a ghost data-plane (per-block version counters and
-//! per-node held-version tags) that powers three recovery invariants the
+//! per-node held-version tags) that powers three invariants the
 //! structural catalog cannot express: `stale-copy` (a node serves data
 //! older than the latest write), `stale-home` (a block that is clean at
-//! home lost a write), and `rejoin-residency` (a rejoined node reaches a
-//! fully re-registered page table).  Ghost state enters the canonical
-//! encoding only when the budget is nonzero, so `fault_budget = 0`
-//! explorations are state-for-state identical to the plain conformance
-//! gate.
+//! home lost a write), and `rejoin-residency` (every node keeps a
+//! mapping for every shared page through remap and evict).  Ghost state
+//! enters the canonical encoding only when the budget is nonzero, so
+//! `fault_budget = 0` explorations are state-for-state identical to the
+//! plain conformance gate.
 
 use crate::harness::Harness;
 use crate::invariant::check_all;
 use crate::view::{MachineView, NodeView};
 use ascoma_mem::cache::{DirectMappedCache, Lookup};
 use ascoma_obs::ThresholdStep;
-use ascoma_proto::directory::{DirFault, SharerReport};
+use ascoma_proto::directory::DirFault;
 use ascoma_proto::Directory;
 use ascoma_sim::addr::{BlockId, Geometry, VPage};
-use ascoma_sim::{NodeId, NodeSet};
+use ascoma_sim::NodeId;
 use ascoma_vm::backoff::{BackoffParams, BackoffState};
 use ascoma_vm::{FramePool, PageMode, PageTable, PageoutDaemon};
 
@@ -80,23 +80,6 @@ pub enum ConformMutation {
     /// [`DirFault::SkipRefetchReset`]: relocation stops resetting the
     /// refetch counter — the liveness mutation (remap/evict livelock).
     SkipReset,
-    /// [`DirFault::RebuildSkipsDirty`]: shard rebuild drops the dirty
-    /// owner from the first dirty sharer report — the rebuilt entry
-    /// claims the block is clean at home while a newer version lives in
-    /// a cache (an in-flight-writeback-shaped recovery bug).
-    RebuildSkipsDirty,
-    /// [`DirFault::PurgeSkipsBlock`]: the crash purge skips the first
-    /// block the dead node is registered for — the surviving directory
-    /// still references a crashed node.
-    PurgeSkipsBlock,
-    /// [`PageTable::inject_rejoin_stale_entry`]: rejoin's table reset
-    /// keeps one stale S-COMA entry — the rejoined node claims data it
-    /// lost in the crash.
-    RejoinStaleTlb,
-    /// [`FramePool::inject_rejoin_short`]: rejoin's pool reconciliation
-    /// comes back one frame short — frame conservation breaks the moment
-    /// the node is live again.
-    RejoinShortPool,
 }
 
 impl ConformMutation {
@@ -110,15 +93,6 @@ impl ConformMutation {
         ConformMutation::ResidencyLeak,
     ];
 
-    /// The recovery mutations: seeded bugs in the crash/rejoin/rebuild
-    /// paths, only reachable with a nonzero fault budget.
-    pub const RECOVERY: [ConformMutation; 4] = [
-        ConformMutation::RebuildSkipsDirty,
-        ConformMutation::PurgeSkipsBlock,
-        ConformMutation::RejoinStaleTlb,
-        ConformMutation::RejoinShortPool,
-    ];
-
     /// Stable identifier used in configuration labels and gate output.
     pub fn name(self) -> &'static str {
         match self {
@@ -127,10 +101,6 @@ impl ConformMutation {
             ConformMutation::LeakFrame => "leak-frame",
             ConformMutation::ResidencyLeak => "residency-leak",
             ConformMutation::SkipReset => "skip-reset",
-            ConformMutation::RebuildSkipsDirty => "rebuild-skips-dirty",
-            ConformMutation::PurgeSkipsBlock => "purge-skips-block",
-            ConformMutation::RejoinStaleTlb => "rejoin-stale-tlb",
-            ConformMutation::RejoinShortPool => "rejoin-short-pool",
         }
     }
 }
@@ -159,9 +129,9 @@ pub struct ConformConfig {
     pub threshold_increment: u32,
     /// Threshold cap: raising past it latches relocation off.
     pub threshold_cap: u32,
-    /// Maximum faults (drop, duplicate, crash, shard loss) the explorer
-    /// may inject per run; `0` disables the fault layer entirely and
-    /// makes the exploration state-for-state identical to PR 5's.
+    /// Maximum message faults (drop, duplicate) the explorer may inject
+    /// per run; `0` disables the fault layer entirely and makes the
+    /// exploration state-for-state identical to the plain conformance one.
     pub fault_budget: u8,
     /// Production bug to arm, if any.
     pub mutation: Option<ConformMutation>,
@@ -209,8 +179,7 @@ impl ConformConfig {
     }
 
     /// The same configuration with a fault budget of `k`: the explorer
-    /// may drop, duplicate, crash, or shard-lose at most `k` times per
-    /// run.
+    /// may drop or duplicate at most `k` messages per run.
     pub fn with_faults(mut self, k: u8) -> Self {
         self.fault_budget = k;
         self
@@ -272,25 +241,18 @@ impl ConformConfig {
 
     /// The bounded-fault gate suite: the smoke suite with a fault budget
     /// of `k` per run.  `k = 0` must reproduce the plain conformance
-    /// exploration exactly.  At `k = 2` the widest AS-COMA configuration
-    /// (2 pages) exceeds the 4M-state CI cap — the fault layer multiplies
-    /// its already-largest space ~200x — so it swaps to its single-page
-    /// sibling, which still covers the full daemon/back-off machinery
-    /// under a double fault and explores exhaustively.
+    /// exploration exactly.  At `k = 2` the widest configuration
+    /// (`ascoma(2, 2, 1, 3)`) reaches about 2.4M states, inside the
+    /// 4M-state CI cap.
     pub fn fault_suite(k: u8) -> Vec<ConformConfig> {
-        let mut v = ConformConfig::smoke_suite();
-        if k >= 2 {
-            for c in v.iter_mut() {
-                if c.pageout && c.pages == 2 {
-                    *c = ConformConfig::ascoma(2, 1, 1, 3);
-                }
-            }
-        }
-        v.into_iter().map(|c| c.with_faults(k)).collect()
+        ConformConfig::smoke_suite()
+            .into_iter()
+            .map(|c| c.with_faults(k))
+            .collect()
     }
 
     /// The fault liveness gate suite: recovery from every injected fault
-    /// must terminate (no crash/rejoin or lose/rebuild lasso).
+    /// must terminate (no drop/resend lasso).
     pub fn fault_liveness_suite() -> Vec<ConformConfig> {
         ConformConfig::liveness_suite()
             .into_iter()
@@ -311,9 +273,6 @@ pub struct ConformNode {
     pending: Option<(u64, bool)>,
     ops_done: u8,
     trajectory: Vec<ThresholdStep>,
-    /// Crashed.  The node's local state above is dead garbage until
-    /// rejoin resets it; no action of this node is enabled but `Rejoin`.
-    down: bool,
     /// The pending miss's message was dropped; `Complete` is disabled
     /// until `Resend`.
     pending_dropped: bool,
@@ -336,9 +295,6 @@ pub struct ConformState {
     clock: u64,
     /// Faults the explorer may still inject this run.
     faults_left: u8,
-    /// Per-page: the directory shard covering the page lost its SRAM
-    /// and awaits rebuild.
-    shard_down: Vec<bool>,
     /// Ghost data-plane: latest version ever written per block (`1`
     /// initially — home memory's cold contents).
     ver: Vec<u64>,
@@ -359,10 +315,10 @@ impl ConformState {
         self.nodes.iter().any(|n| n.pt.scoma_count() > 0)
     }
 
-    /// True if any node is currently crashed — the fault gate's coverage
-    /// predicate for the crash/rejoin machinery.
-    pub fn any_node_down(&self) -> bool {
-        self.nodes.iter().any(|n| n.down)
+    /// True if any node's outstanding transaction is currently dropped —
+    /// the fault gate's coverage predicate for the drop/resend machinery.
+    pub fn any_pending_dropped(&self) -> bool {
+        self.nodes.iter().any(|n| n.pending_dropped)
     }
 }
 
@@ -426,31 +382,6 @@ pub enum ConformAction {
         /// Node resending.
         node: u8,
     },
-    /// Fault: `node` crashes — its cache, TLB, page table, and frame
-    /// pool die with it; the directory purges every reference to it.
-    Crash {
-        /// Crashing node.
-        node: u8,
-    },
-    /// Recovery: crashed `node` rejoins with a cold cache, a reset page
-    /// table re-registered for every shared page, and a reconciled pool.
-    Rejoin {
-        /// Rejoining node.
-        node: u8,
-    },
-    /// Fault: the directory shard covering `page` loses its SRAM
-    /// (copysets, owners, refetch counters); misses on the page stall
-    /// until the shard is rebuilt.
-    LoseShard {
-        /// Page whose shard dies.
-        page: u64,
-    },
-    /// Recovery: rebuild `page`'s block entries from surviving sharer
-    /// state (live nodes report their valid copies and dirty lines).
-    RebuildShard {
-        /// Page whose shard is rebuilt.
-        page: u64,
-    },
 }
 
 /// A conformance harness over one configuration.
@@ -507,9 +438,7 @@ impl ConformHarness {
                     if v.dirty {
                         let vb = self.geometry.block_of(v.addr);
                         t.dir.writeback(NodeId(node as u16), vb);
-                        // Ghost: the written-back data reaches home even
-                        // if the shard's metadata is currently lost (the
-                        // data plane survives shard loss).
+                        // Ghost: the written-back data reaches home.
                         t.home_ver[vb.0 as usize] = t.nodes[node].held[vb.0 as usize];
                     }
                 }
@@ -547,46 +476,11 @@ impl ConformHarness {
         let line = self.block_base(block);
         for v in victims.iter() {
             let vd = &mut t.nodes[v.idx()];
-            if vd.down {
-                // An invalidation addressed to a crashed node is dropped
-                // on the floor (only reachable when a purge fault left a
-                // dead node registered — caught by crash-isolation).
-                continue;
-            }
             if vd.pt.mode(page).is_scoma() {
                 vd.pt.clear_block_valid(page, idx);
             }
             vd.l1.invalidate_range(line, self.geometry.block_bytes());
         }
-    }
-
-    /// Rebuild one page's directory shard from surviving sharer state:
-    /// every live node reports the blocks it holds (S-COMA valid bit or
-    /// L1 line) and whether it holds them dirty.
-    fn rebuild_reports(&self, t: &ConformState, page: VPage) -> Vec<SharerReport> {
-        let bpp = self.geometry.blocks_per_page();
-        let mut reports = Vec::with_capacity(bpp as usize);
-        for i in 0..bpp {
-            let b = self.geometry.block_id(page, i);
-            let line = self.geometry.block_base(b);
-            let mut report = SharerReport::default();
-            for (n, nd) in t.nodes.iter().enumerate() {
-                if nd.down {
-                    continue;
-                }
-                let id = NodeId(n as u16);
-                let scoma_valid = nd.pt.mode(page).is_scoma() && nd.pt.block_valid(page, i);
-                let l1_state = nd.l1.line_dirty(line);
-                if scoma_valid || l1_state.is_some() {
-                    report.sharers.insert(id);
-                }
-                if l1_state == Some(true) {
-                    report.dirty_owner = Some(id);
-                }
-            }
-            reports.push(report);
-        }
-        reports
     }
 }
 
@@ -601,12 +495,6 @@ impl Harness for ConformHarness {
             Some(ConformMutation::SkipInval) => dir.inject_fault(Some(DirFault::SkipInvalidation)),
             Some(ConformMutation::SkipForward) => dir.inject_fault(Some(DirFault::SkipForward)),
             Some(ConformMutation::SkipReset) => dir.inject_fault(Some(DirFault::SkipRefetchReset)),
-            Some(ConformMutation::RebuildSkipsDirty) => {
-                dir.inject_fault(Some(DirFault::RebuildSkipsDirty))
-            }
-            Some(ConformMutation::PurgeSkipsBlock) => {
-                dir.inject_fault(Some(DirFault::PurgeSkipsBlock))
-            }
             _ => {}
         }
         let nodes = (0..cfg.nodes as usize)
@@ -624,9 +512,6 @@ impl Harness for ConformHarness {
                 if cfg.mutation == Some(ConformMutation::ResidencyLeak) {
                     pt.inject_residency_leak(true);
                 }
-                if cfg.mutation == Some(ConformMutation::RejoinStaleTlb) {
-                    pt.inject_rejoin_stale_entry(true);
-                }
                 let mut pool = FramePool::new(
                     home_pages + cfg.cache_frames as u32,
                     home_pages,
@@ -635,9 +520,6 @@ impl Harness for ConformHarness {
                 );
                 if cfg.mutation == Some(ConformMutation::LeakFrame) {
                     pool.inject_leak_release(true);
-                }
-                if cfg.mutation == Some(ConformMutation::RejoinShortPool) {
-                    pool.inject_rejoin_short(true);
                 }
                 ConformNode {
                     pt,
@@ -657,7 +539,6 @@ impl Harness for ConformHarness {
                     pending: None,
                     ops_done: 0,
                     trajectory: Vec::new(),
-                    down: false,
                     pending_dropped: false,
                     pending_dup: false,
                     held: vec![0; cfg.blocks() as usize],
@@ -669,7 +550,6 @@ impl Harness for ConformHarness {
             nodes,
             clock: 0,
             faults_left: cfg.fault_budget,
-            shard_down: vec![false; cfg.pages as usize],
             // Home memory's cold contents are "version 1" of every block.
             ver: vec![1; cfg.blocks() as usize],
             home_ver: vec![1; cfg.blocks() as usize],
@@ -681,28 +561,18 @@ impl Harness for ConformHarness {
         let mut acts = Vec::new();
         for (n, nd) in s.nodes.iter().enumerate() {
             let node = n as u8;
-            if nd.down {
-                // A crashed node's only future is rejoining.
-                acts.push(ConformAction::Rejoin { node });
-                continue;
-            }
             if let Some((block, write)) = nd.pending {
                 // Blocking processor: the only protocol step this node
                 // can take is completing its outstanding miss — unless
-                // the message was dropped (resend first) or the target
-                // shard is down (stall until rebuild).
-                let page = self.geometry.page_of_block(BlockId(block));
+                // the message was dropped (resend first).
                 if nd.pending_dropped {
                     acts.push(ConformAction::Resend { node });
-                } else if !s.shard_down[page.0 as usize] {
+                } else {
                     acts.push(ConformAction::Complete { node, block, write });
                 }
                 if s.faults_left > 0 && !nd.pending_dropped && !nd.pending_dup {
                     acts.push(ConformAction::DropMsg { node });
                     acts.push(ConformAction::DupMsg { node });
-                }
-                if s.faults_left > 0 {
-                    acts.push(ConformAction::Crash { node });
                 }
                 continue;
             }
@@ -736,12 +606,6 @@ impl Harness for ConformHarness {
             if cfg.remap {
                 for p in 0..cfg.pages as u64 {
                     let page = VPage(p);
-                    // Relocation machinery keeps its hands off pages
-                    // whose shard is down: flushes would write to lost
-                    // SRAM.
-                    if s.shard_down[p as usize] {
-                        continue;
-                    }
                     if nd.pt.mode(page) == PageMode::Numa
                         && !nd.backoff.relocation_disabled()
                         && s.dir.refetch_count(page, NodeId(n as u16)) >= nd.backoff.threshold()
@@ -753,21 +617,9 @@ impl Harness for ConformHarness {
                         acts.push(ConformAction::Evict { node, page: p });
                     }
                 }
-                // The daemon picks its own victims, so it pauses while
-                // any shard is down rather than gating per page.
-                if cfg.pageout && nd.pool.below_min() && !s.shard_down.iter().any(|&d| d) {
+                if cfg.pageout && nd.pool.below_min() {
                     acts.push(ConformAction::DaemonRun { node });
                 }
-            }
-            if s.faults_left > 0 {
-                acts.push(ConformAction::Crash { node });
-            }
-        }
-        for p in 0..cfg.pages as u64 {
-            if s.shard_down[p as usize] {
-                acts.push(ConformAction::RebuildShard { page: p });
-            } else if s.faults_left > 0 {
-                acts.push(ConformAction::LoseShard { page: p });
             }
         }
         acts
@@ -802,11 +654,6 @@ impl Harness for ConformHarness {
                 let bi = block as usize;
                 let page = self.geometry.page_of_block(bid);
                 let idx = self.geometry.block_index_in_page(bid);
-                if t.shard_down[page.0 as usize] {
-                    return Err(format!(
-                        "node {node} completing through down shard of page {page}"
-                    ));
-                }
                 let dup = t.nodes[n].pending_dup;
                 t.nodes[n].pt.touch(page);
                 let scoma_valid =
@@ -946,84 +793,6 @@ impl Harness for ConformHarness {
                 }
                 nd.pending_dropped = false;
             }
-            ConformAction::Crash { node } => {
-                let n = node as usize;
-                if t.nodes[n].down {
-                    return Err(format!("node {node} crashing while already down"));
-                }
-                if t.faults_left == 0 {
-                    return Err("fault budget exhausted".to_string());
-                }
-                t.faults_left -= 1;
-                // Ghost: dirty data not yet written back dies with the
-                // node — the latest surviving version is home's.  (Only
-                // the exclusive writer can hold ver > home_ver.)
-                for b in 0..self.cfg.blocks() as usize {
-                    let h = t.nodes[n].held[b];
-                    if h == t.ver[b] && t.ver[b] > t.home_ver[b] {
-                        t.ver[b] = t.home_ver[b];
-                    }
-                    t.nodes[n].held[b] = 0;
-                }
-                t.dir.purge_node(NodeId(node as u16));
-                let nd = &mut t.nodes[n];
-                nd.down = true;
-                nd.pending = None;
-                nd.pending_dropped = false;
-                nd.pending_dup = false;
-            }
-            ConformAction::Rejoin { node } => {
-                let n = node as usize;
-                if !t.nodes[n].down {
-                    return Err(format!("node {node} rejoining while up"));
-                }
-                let nd = &mut t.nodes[n];
-                nd.pt.rejoin_reset();
-                // Re-register every shared page still unmapped after the
-                // reset (the stale-entry fault may have kept one).
-                for (p, &home) in self.homes.iter().enumerate() {
-                    let page = VPage(p as u64);
-                    if nd.pt.mode(page) != PageMode::Unmapped {
-                        continue;
-                    }
-                    if home.idx() == n {
-                        nd.pt.map_home(page);
-                    } else {
-                        nd.pt.map_numa(page);
-                    }
-                }
-                nd.pool.rejoin_reconcile();
-                nd.l1.invalidate_all();
-                nd.daemon = PageoutDaemon::new(0);
-                nd.backoff = BackoffState::new(BackoffParams {
-                    initial_threshold: self.cfg.initial_threshold,
-                    increment: self.cfg.threshold_increment,
-                    cap: self.cfg.threshold_cap,
-                    enabled: self.cfg.pageout,
-                });
-                nd.trajectory.clear();
-                nd.down = false;
-            }
-            ConformAction::LoseShard { page } => {
-                if t.shard_down[page as usize] {
-                    return Err(format!("shard of page {page} already down"));
-                }
-                if t.faults_left == 0 {
-                    return Err("fault budget exhausted".to_string());
-                }
-                t.faults_left -= 1;
-                t.dir.lose_page_entries(VPage(page));
-                t.shard_down[page as usize] = true;
-            }
-            ConformAction::RebuildShard { page } => {
-                if !t.shard_down[page as usize] {
-                    return Err(format!("rebuilding live shard of page {page}"));
-                }
-                let p = VPage(page);
-                let reports = self.rebuild_reports(&t, p);
-                t.dir.rebuild_page(p, &reports);
-                t.shard_down[page as usize] = false;
-            }
         }
         Ok(t)
     }
@@ -1042,19 +811,6 @@ impl Harness for ConformHarness {
                 trajectory: &nd.trajectory,
             })
             .collect();
-        let mut down_nodes = NodeSet::empty();
-        for (i, nd) in s.nodes.iter().enumerate() {
-            if nd.down {
-                down_nodes.insert(NodeId(i as u16));
-            }
-        }
-        let lost_pages: Vec<VPage> = s
-            .shard_down
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d)
-            .map(|(p, _)| VPage(p as u64))
-            .collect();
         let view = MachineView {
             geometry: self.geometry,
             shared_pages: self.cfg.pages as u64,
@@ -1066,8 +822,6 @@ impl Harness for ConformHarness {
             threshold_adaptive: self.cfg.pageout,
             threshold_capped: self.cfg.pageout,
             uses_page_cache: self.cfg.remap,
-            down_nodes,
-            lost_pages,
         };
         if let Some(v) = check_all(&view).into_iter().next() {
             let detail = match v.node {
@@ -1080,17 +834,9 @@ impl Harness for ConformHarness {
         // membership, and a dirty line implies registered ownership.
         // (The live catalog cannot check these: the simulator's caches
         // belong to the machine layer it only sees through MachineView.)
-        // Down nodes' caches are dead garbage and lost shards' copysets
-        // were wiped, not the survivors' copies — both skip.
         for (n, nd) in s.nodes.iter().enumerate() {
-            if nd.down {
-                continue;
-            }
             let id = NodeId(n as u16);
             for b in 0..self.cfg.blocks() as u64 {
-                if s.shard_down[self.geometry.page_of_block(BlockId(b)).0 as usize] {
-                    continue;
-                }
                 let line = self.block_base(b);
                 if let Some(dirty) = nd.l1.line_dirty(line) {
                     if !s.dir.in_copyset(id, BlockId(b)) {
@@ -1108,7 +854,7 @@ impl Harness for ConformHarness {
                 }
             }
         }
-        // Recovery invariants, powered by the ghost data-plane.  Only in
+        // Data-plane invariants, powered by the ghost data-plane.  Only in
         // fault runs: with budget 0 the ghost is not part of the
         // canonical encoding, so checks must not read it (two canon-equal
         // states must agree on every checked predicate).
@@ -1118,12 +864,7 @@ impl Harness for ConformHarness {
                 let page = self.geometry.page_of_block(bid);
                 // stale-home: a block that is clean at home (no
                 // registered owner) must have the latest write at home.
-                // Skipped while the shard is down — ownership metadata is
-                // lost, and rebuild is obliged to restore it.
-                if !s.shard_down[page.0 as usize]
-                    && s.dir.owner_of(bid).is_none()
-                    && s.home_ver[b] != s.ver[b]
-                {
+                if s.dir.owner_of(bid).is_none() && s.home_ver[b] != s.ver[b] {
                     return Err((
                         "stale-home".to_string(),
                         format!(
@@ -1132,14 +873,11 @@ impl Harness for ConformHarness {
                         ),
                     ));
                 }
-                // stale-copy: every structural copy a live node holds
-                // must be the latest version (write-invalidate protocol).
+                // stale-copy: every structural copy a node holds must be
+                // the latest version (write-invalidate protocol).
                 let idx = self.geometry.block_index_in_page(bid);
                 let line = self.block_base(b as u64);
                 for (n, nd) in s.nodes.iter().enumerate() {
-                    if nd.down {
-                        continue;
-                    }
                     let has_copy = (nd.pt.mode(page).is_scoma() && nd.pt.block_valid(page, idx))
                         || nd.l1.contains(line);
                     if has_copy && nd.held[b] != s.ver[b] {
@@ -1153,18 +891,15 @@ impl Harness for ConformHarness {
                     }
                 }
             }
-            // rejoin-residency: every live node is registered for every
-            // shared page (initial mapping, preserved by remap/evict and
-            // re-established by rejoin).
+            // rejoin-residency: every node stays registered for every
+            // shared page (the initial mapping, which remap and evict
+            // must preserve).
             for (n, nd) in s.nodes.iter().enumerate() {
-                if nd.down {
-                    continue;
-                }
                 for p in 0..self.cfg.pages as u64 {
                     if nd.pt.mode(VPage(p)) == PageMode::Unmapped {
                         return Err((
                             "rejoin-residency".to_string(),
-                            format!("node {n}: page {p} unmapped on a live node"),
+                            format!("node {n}: page {p} unmapped"),
                         ));
                     }
                 }
@@ -1248,23 +983,16 @@ impl Harness for ConformHarness {
                 });
             }
         }
-        // Fault layer: budget, down/lost markers, message-fate flags,
-        // and the ghost data-plane.  Only encoded in fault runs, so a
-        // budget-0 exploration is state-for-state identical to PR 5's.
-        // (A down node's dead local state stays in the sections above:
-        // the stale-entry fault makes rejoin read it, so collapsing it
-        // would break canon injectivity.)
+        // Fault layer: budget, message-fate flags, and the ghost
+        // data-plane.  Only encoded in fault runs, so a budget-0
+        // exploration is state-for-state identical to the plain one.
         if self.cfg.fault_budget > 0 {
             v.push(s.faults_left as u64);
-            for p in 0..pages as usize {
-                v.push(s.shard_down[p] as u64);
-            }
             for b in 0..blocks as usize {
                 v.push(s.ver[b]);
                 v.push(s.home_ver[b]);
             }
             for nd in &s.nodes {
-                v.push(nd.down as u64);
                 v.push(nd.pending_dropped as u64);
                 v.push(nd.pending_dup as u64);
                 for b in 0..blocks as usize {
@@ -1287,10 +1015,7 @@ impl Harness for ConformHarness {
         let consumes = |a: &ConformAction| -> bool {
             matches!(
                 a,
-                ConformAction::DropMsg { .. }
-                    | ConformAction::DupMsg { .. }
-                    | ConformAction::Crash { .. }
-                    | ConformAction::LoseShard { .. }
+                ConformAction::DropMsg { .. } | ConformAction::DupMsg { .. }
             )
         };
         if consumes(a) && consumes(b) {
@@ -1308,15 +1033,6 @@ impl Harness for ConformHarness {
                 ConformAction::DropMsg { node }
                 | ConformAction::DupMsg { node }
                 | ConformAction::Resend { node } => (1 << node, 0),
-                // A crash purges the whole directory; a rejoin rebuilds
-                // the node's state for every page.
-                ConformAction::Crash { .. } => (ALL, ALL),
-                ConformAction::Rejoin { node } => (1 << node, ALL),
-                // Shard loss/rebuild touch one page's entries but every
-                // node's enabledness (stalls) and caches (reports).
-                ConformAction::LoseShard { page } | ConformAction::RebuildShard { page } => {
-                    (ALL, 1 << page)
-                }
             }
         };
         let (na, pa) = foot(a);
@@ -1340,11 +1056,7 @@ impl Harness for ConformHarness {
             ConformAction::DaemonRun { .. } => "daemon-run",
             ConformAction::DropMsg { .. } => "fault-drop",
             ConformAction::DupMsg { .. } => "fault-dup",
-            ConformAction::Crash { .. } => "fault-crash",
-            ConformAction::LoseShard { .. } => "fault-lose-shard",
             ConformAction::Resend { .. } => "recover-resend",
-            ConformAction::Rejoin { .. } => "recover-rejoin",
-            ConformAction::RebuildShard { .. } => "recover-rebuild",
         }
     }
 
@@ -1373,18 +1085,6 @@ impl Harness for ConformHarness {
             }
             ConformAction::Resend { node } => {
                 format!("{{\"step\":{step},\"action\":\"resend\",\"node\":{node}}}")
-            }
-            ConformAction::Crash { node } => {
-                format!("{{\"step\":{step},\"action\":\"crash\",\"node\":{node}}}")
-            }
-            ConformAction::Rejoin { node } => {
-                format!("{{\"step\":{step},\"action\":\"rejoin\",\"node\":{node}}}")
-            }
-            ConformAction::LoseShard { page } => {
-                format!("{{\"step\":{step},\"action\":\"lose-shard\",\"page\":{page}}}")
-            }
-            ConformAction::RebuildShard { page } => {
-                format!("{{\"step\":{step},\"action\":\"rebuild-shard\",\"page\":{page}}}")
             }
         }
     }

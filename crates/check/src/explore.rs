@@ -66,7 +66,7 @@ pub struct Outcome<A> {
     pub violation: Option<Cex<A>>,
     /// Transitions applied per [`Harness::action_kind`], sorted by kind
     /// name — the coverage evidence that (say) a fault-enabled run
-    /// actually took crash/rejoin actions rather than exploring protocol
+    /// actually took drop/resend actions rather than exploring protocol
     /// traffic only.
     pub kinds: Vec<(&'static str, usize)>,
 }

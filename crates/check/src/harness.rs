@@ -61,7 +61,7 @@ pub trait Harness {
 
     /// Stable kind label for `a`, used by the explorers' per-action-kind
     /// transition statistics (e.g. proving a fault-enabled run actually
-    /// exercised crash/rejoin actions, not just protocol traffic).
+    /// exercised drop/resend actions, not just protocol traffic).
     /// Harnesses with one action flavor can keep the default.
     fn action_kind(&self, a: &Self::Action) -> &'static str {
         let _ = a;

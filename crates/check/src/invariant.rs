@@ -49,7 +49,6 @@ pub fn catalog() -> Vec<Box<dyn Invariant>> {
         Box::new(crate::checkers::ReplicaLegality),
         Box::new(crate::checkers::PageCacheUsage),
         Box::new(crate::checkers::ThresholdLegality),
-        Box::new(crate::checkers::CrashIsolation),
         Box::new(crate::checkers::TrajectoryMonotonicity),
     ]
 }

@@ -27,7 +27,10 @@
 //!    accounting, pageout-daemon victim selection, and back-off
 //!    automaton — with the invariant catalog checked in every explored
 //!    state.  There is no separate protocol model: the checker explores
-//!    exactly the code the simulator runs.
+//!    exactly the code the simulator runs.  With a fault budget the same
+//!    harness also drops, duplicates and resends directory transactions,
+//!    the only faults it models: the simulated machine never crashes a
+//!    node or loses directory state.
 //! 4. **Mutation self-tests** ([`conform::ConformMutation`]) — known bugs
 //!    are injectable via `cfg(feature = "check")` fault hooks in the
 //!    production crates, so the test suite can assert the checkers

@@ -17,11 +17,11 @@
 //! `illegal-transition` and `disabled-action` classes, which cover every
 //! way a step can be rejected — there the *detail* must match too, or
 //! the shrinker would happily collapse any trace to a single arbitrary
-//! invalid action (e.g. delivering a message that is not in flight, or
-//! rejoining a node that never crashed) and call it the same bug.  This
-//! matters doubly for fault traces: a crash/rejoin schedule mangled by
-//! ddmin turns into disabled recovery actions, and without the detail
-//! match any such mangling would "reproduce".
+//! invalid action (e.g. completing a miss that was never issued, or
+//! resending a message that was never dropped) and call it the same
+//! bug.  This matters doubly for fault traces: a drop/resend schedule
+//! mangled by ddmin turns into disabled recovery actions, and without
+//! the detail match any such mangling would "reproduce".
 
 use crate::explore::replay_on;
 use crate::harness::Harness;

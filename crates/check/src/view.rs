@@ -9,8 +9,8 @@
 
 use ascoma_obs::ThresholdStep;
 use ascoma_proto::Directory;
-use ascoma_sim::addr::{Geometry, VPage};
-use ascoma_sim::{NodeId, NodeSet};
+use ascoma_sim::addr::Geometry;
+use ascoma_sim::NodeId;
 use ascoma_vm::{FramePool, PageTable};
 
 /// One node's checkable state.
@@ -57,32 +57,11 @@ pub struct MachineView<'a> {
     /// Whether this architecture ever maps S-COMA pages (everything but
     /// plain CC-NUMA without read-only replication).
     pub uses_page_cache: bool,
-    /// Nodes currently crashed.  A down node's local state (page table,
-    /// pool, caches) is dead with the node: per-node checkers skip it,
-    /// and [`crate::checkers::CrashIsolation`] asserts the *surviving*
-    /// machine holds no reference to it.  Empty outside fault-injection
-    /// exploration.
-    pub down_nodes: NodeSet,
-    /// Pages whose directory shard is currently lost (awaiting rebuild).
-    /// Directory-backed agreement checks skip them — the copyset was
-    /// wiped, not the survivors' copies.  Empty outside fault-injection
-    /// exploration.
-    pub lost_pages: Vec<VPage>,
 }
 
 impl MachineView<'_> {
     /// Total DSM blocks covered by the directory.
     pub fn total_blocks(&self) -> u64 {
         self.shared_pages * u64::from(self.geometry.blocks_per_page())
-    }
-
-    /// Whether `node` is currently crashed.
-    pub fn node_down(&self, node: NodeId) -> bool {
-        self.down_nodes.contains(node)
-    }
-
-    /// Whether `page`'s directory shard is currently lost.
-    pub fn page_lost(&self, page: VPage) -> bool {
-        self.lost_pages.contains(&page)
     }
 }

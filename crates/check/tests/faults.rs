@@ -4,9 +4,8 @@
 //! suite up to budget k = 2; these tests keep the same claims on the
 //! configurations small enough for the test profile: clean bounded-fault
 //! exploration with real fault/recovery coverage, a byte-for-byte identical
-//! state space at k = 0, lasso-free recovery, and every seeded recovery
-//! bug caught with a ddmin-shrunk, replayable trace that keeps its fault
-//! schedule.
+//! state space at k = 0, lasso-free drop/resend recovery, and ddmin
+//! shrinking that keeps fault traces legal.
 #![cfg(feature = "check")]
 
 use ascoma_check::conform::{ConformAction, ConformConfig, ConformHarness, ConformMutation};
@@ -15,16 +14,6 @@ use ascoma_check::liveness::find_lasso;
 use ascoma_check::shrink::shrink;
 
 const MAX_STATES: usize = 4_000_000;
-
-fn is_fault(a: &ConformAction) -> bool {
-    matches!(
-        a,
-        ConformAction::DropMsg { .. }
-            | ConformAction::DupMsg { .. }
-            | ConformAction::Crash { .. }
-            | ConformAction::LoseShard { .. }
-    )
-}
 
 fn kind_coverage(out: &Outcome<ConformAction>) -> (bool, bool) {
     let faults = out
@@ -39,7 +28,7 @@ fn kind_coverage(out: &Outcome<ConformAction>) -> (bool, bool) {
 }
 
 /// The small end of the bounded-fault gate: every coherence-only config at
-/// k = 1 plus the compact AS-COMA config the k = 2 gate uses.  Each must
+/// k = 1 plus a compact single-page AS-COMA config.  Each must
 /// explore completely with zero violations, exercise both fault and
 /// recovery actions (no vacuous pass), and stay DPOR-sound.
 #[test]
@@ -102,13 +91,13 @@ fn zero_budget_is_state_identical_to_plain_conformance() {
 }
 
 /// Recovery terminates: in the faulted liveness suite no non-progress
-/// cycle exists, and the proof is not vacuous — crashed states are
-/// actually covered.
+/// cycle exists, and the proof is not vacuous — states with a dropped
+/// transaction awaiting its resend are actually covered.
 #[test]
-fn recovery_is_lasso_free_and_covers_crashed_states() {
+fn resend_recovery_is_lasso_free_and_covers_dropped_states() {
     for cfg in ConformConfig::fault_liveness_suite() {
         let h = ConformHarness::new(cfg);
-        let out = find_lasso(&h, MAX_STATES, |s| s.any_node_down())
+        let out = find_lasso(&h, MAX_STATES, |s| s.any_pending_dropped())
             .expect("clean config must have no illegal transitions");
         assert!(out.complete, "{}: liveness BFS hit the cap", cfg.label());
         assert!(
@@ -118,114 +107,72 @@ fn recovery_is_lasso_free_and_covers_crashed_states() {
         );
         assert!(
             out.interesting > 0,
-            "{}: no crashed state was ever explored",
+            "{}: no dropped-transaction state was ever explored",
             cfg.label()
         );
     }
 }
 
-fn recovery_case(m: ConformMutation) -> (ConformConfig, &'static [&'static str]) {
-    match m {
-        ConformMutation::RebuildSkipsDirty => (
-            ConformConfig {
-                mutation: Some(m),
-                ..ConformConfig::coherence(2, 1, 1, 2).with_faults(1)
-            },
-            &["l1-ownership", "stale-home", "swmr"],
-        ),
-        ConformMutation::PurgeSkipsBlock => (
-            ConformConfig {
-                mutation: Some(m),
-                ..ConformConfig::coherence(2, 1, 1, 2).with_faults(1)
-            },
-            &["crash-isolation"],
-        ),
-        ConformMutation::RejoinStaleTlb => (
-            ConformConfig {
-                mutation: Some(m),
-                ..ConformConfig::remap(2, 2, 1, 3).with_faults(1)
-            },
-            &[
-                "frame-conservation",
-                "directory-cache-agreement",
-                "residency-consistency",
-            ],
-        ),
-        ConformMutation::RejoinShortPool => (
-            ConformConfig {
-                mutation: Some(m),
-                ..ConformConfig::remap(2, 2, 1, 3).with_faults(1)
-            },
-            &["frame-conservation"],
-        ),
-        _ => unreachable!("not a recovery mutation"),
-    }
-}
-
-/// Every seeded recovery bug is detected, shrinks to a 1-minimal trace
-/// that still replays to the same invariant class, and the shrunk trace
-/// keeps at least one fault action — ddmin must never "fix" the bug by
-/// deleting the fault schedule that exposes it.
+/// ddmin across a fault schedule: a drop/resend pair padded into a
+/// seeded-bug trace is incidental, but removing the drop alone leaves a
+/// resend of nothing — a disabled action, not the bug.  The shrunk trace
+/// must stay legal (every resend after its drop), still reproduce the
+/// bug, and be 1-minimal.
 #[test]
-fn seeded_recovery_faults_are_caught_and_shrink() {
-    for m in ConformMutation::RECOVERY {
-        let (cfg, expected) = recovery_case(m);
-        let h = ConformHarness::new(cfg);
-        let out = bfs(&h, MAX_STATES);
-        let cex = out
-            .violation
-            .unwrap_or_else(|| panic!("{}: recovery fault not caught", cfg.label()));
-        assert!(
-            expected.contains(&cex.invariant.as_str()),
-            "{}: caught as {:?}, expected one of {:?}",
-            cfg.label(),
-            cex.invariant,
-            expected
-        );
-        let small = shrink(&h, &cex.invariant, &cex.detail, &cex.trace);
-        assert!(small.len() <= cex.trace.len());
-        assert!(
-            small.iter().any(is_fault),
-            "{}: shrunk trace lost its fault schedule",
-            cfg.label()
-        );
-        let replayed = replay_on(&h, &small).expect("shrunk trace must reproduce");
-        assert_eq!(replayed.0, cex.invariant, "{}", cfg.label());
-        // 1-minimality: removing any single action breaks reproduction of
-        // this invariant.
-        for i in 0..small.len() {
-            let mut probe = small.clone();
-            probe.remove(i);
-            let still = replay_on(&h, &probe);
+fn shrunk_fault_traces_stay_legal_and_ordered() {
+    let cfg = ConformConfig {
+        mutation: Some(ConformMutation::SkipInval),
+        ..ConformConfig::coherence(2, 1, 1, 2).with_faults(1)
+    };
+    let h = ConformHarness::new(cfg);
+    let padded = [
+        ConformAction::Issue {
+            node: 0,
+            block: 0,
+            write: false,
+        },
+        ConformAction::DropMsg { node: 0 },
+        ConformAction::Resend { node: 0 },
+        ConformAction::Complete {
+            node: 0,
+            block: 0,
+            write: false,
+        },
+        ConformAction::Issue {
+            node: 1,
+            block: 0,
+            write: true,
+        },
+        ConformAction::Complete {
+            node: 1,
+            block: 0,
+            write: true,
+        },
+    ];
+    let (invariant, detail) = replay_on(&h, &padded).expect("padded trace exposes the bug");
+    assert!(
+        invariant != "disabled-action" && invariant != "illegal-transition",
+        "padded trace must be legal, got {invariant}: {detail}"
+    );
+    let small = shrink(&h, &invariant, &detail, &padded);
+    assert_eq!(
+        replay_on(&h, &small).map(|(inv, _)| inv),
+        Some(invariant.clone())
+    );
+    for (i, a) in small.iter().enumerate() {
+        if let ConformAction::Resend { node } = *a {
             assert!(
-                still.map(|(inv, _)| inv) != Some(cex.invariant.clone()),
-                "{}: shrunk trace is not 1-minimal (action {} removable)",
-                cfg.label(),
-                i
+                small[..i].contains(&ConformAction::DropMsg { node }),
+                "resend without its drop: {small:?}"
             );
         }
     }
-}
-
-/// ddmin on a mixed fault/recovery trace: a duplicated-delivery violation
-/// would be nonsense without the DupMsg action, and shrinking must keep
-/// the trace legal (recovery actions stay ordered after their faults).
-#[test]
-fn shrunk_fault_traces_stay_legal_and_ordered() {
-    // Use the purge-skips-block case: its counterexample necessarily
-    // interleaves Issue / Crash, so the shrunk trace exercises ddmin on a
-    // schedule where dropping the Crash makes the suffix illegal, not
-    // just non-reproducing.
-    let (cfg, _) = recovery_case(ConformMutation::PurgeSkipsBlock);
-    let h = ConformHarness::new(cfg);
-    let cex = bfs(&h, MAX_STATES).violation.expect("fault not caught");
-    let small = shrink(&h, &cex.invariant, &cex.detail, &cex.trace);
-    assert!(
-        small
-            .iter()
-            .any(|a| matches!(a, ConformAction::Crash { .. })),
-        "purge bug requires a crash in the shrunk trace"
-    );
-    // Replaying the shrunk trace must never hit an illegal transition.
-    assert!(replay_on(&h, &small).is_some());
+    for i in 0..small.len() {
+        let mut probe = small.clone();
+        probe.remove(i);
+        assert!(
+            replay_on(&h, &probe).map(|(inv, _)| inv) != Some(invariant.clone()),
+            "shrunk trace is not 1-minimal (action {i} removable): {small:?}"
+        );
+    }
 }

@@ -139,9 +139,6 @@ pub struct SimConfig {
     pub free_target_frac: f64,
     /// Relocation-policy constants.
     pub policy: PolicyParams,
-    /// Base RNG seed (workload construction uses its own seeds; this one
-    /// covers any machine-side randomization).
-    pub seed: u64,
     /// Observability sampler period in cycles: every `obs_sample_period`
     /// cycles of global simulated time the machine emits per-node
     /// time-series samples (free-pool level, threshold, miss breakdown,
@@ -174,7 +171,6 @@ impl Default for SimConfig {
             free_min_frac: 0.02,
             free_target_frac: 0.07,
             policy: PolicyParams::default(),
-            seed: 0xA5C0_3A00,
             obs_sample_period: 0,
             check_invariants: false,
             controller: ControllerParams::default(),

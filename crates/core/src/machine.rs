@@ -542,8 +542,6 @@ impl<'t, S: Sink> Machine<'t, S> {
                 || (self.arch == Arch::AsComa && self.cfg.policy.ascoma_backoff),
             threshold_capped: self.arch == Arch::AsComa && self.cfg.policy.ascoma_backoff,
             uses_page_cache: self.arch != Arch::CcNuma || self.cfg.policy.replicate_read_only,
-            down_nodes: NodeSet::empty(),
-            lost_pages: Vec::new(),
         }
     }
 

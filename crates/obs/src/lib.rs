@@ -64,6 +64,5 @@ pub use metrics::{HistStat, MetricsDigest, MetricsRegistry};
 pub use sink::{BatchSink, NoopSink, Sink};
 pub use snapshot::{parse_stream_line, NodeSnap, Snapshot, StreamEvent, StreamSink};
 pub use summary::{
-    summarize, DaemonEpochRecord, LifecycleViolation, PageLifecycle, Summary, SummaryFold,
-    ThresholdStep,
+    summarize, DaemonEpochRecord, PageLifecycle, Summary, SummaryFold, ThresholdStep,
 };

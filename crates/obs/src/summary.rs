@@ -111,15 +111,15 @@ impl Summary {
 /// map), a second frame granted to a page already holding one, or an
 /// upgrade of a page that was never mapped.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LifecycleViolation {
+struct LifecycleViolation {
     /// Node clock of the offending event.
-    pub cycle: Cycles,
+    cycle: Cycles,
     /// Node the event belongs to.
-    pub node: u16,
+    node: u16,
     /// Page the event belongs to.
-    pub page: u64,
+    page: u64,
     /// What rule the event broke.
-    pub detail: String,
+    detail: String,
 }
 
 impl fmt::Display for LifecycleViolation {

@@ -75,9 +75,6 @@ trait Mask:
     fn bit(node: NodeId) -> Self;
     /// Widen to the public [`NodeSet`] type.
     fn widen(self) -> NodeSet;
-    /// Narrow from the public [`NodeSet`] type (rebuild reports arrive
-    /// widened); the set must fit this mask width.
-    fn narrow(s: NodeSet) -> Self;
     /// Whether any bit is set.
     #[inline]
     fn any(self) -> bool {
@@ -96,11 +93,6 @@ impl Mask for u16 {
     fn widen(self) -> NodeSet {
         NodeSet(self as u64)
     }
-    #[inline]
-    fn narrow(s: NodeSet) -> Self {
-        debug_assert!(s.0 >> Self::CAP == 0, "node set exceeds packed width");
-        s.0 as u16
-    }
 }
 
 impl Mask for u64 {
@@ -113,10 +105,6 @@ impl Mask for u64 {
     #[inline]
     fn widen(self) -> NodeSet {
         NodeSet(self)
-    }
-    #[inline]
-    fn narrow(s: NodeSet) -> Self {
-        s.0
     }
 }
 
@@ -276,37 +264,6 @@ fn writeback_entry<M: Mask>(e: &mut BlockEntry<M>, node: NodeId) {
     }
 }
 
-/// Entry mutation for [`Directory::lose_page_entries`]: the hardware
-/// copyset/owner SRAM is gone.  Classification history (`ever`/`induced`)
-/// is simulator-side bookkeeping modeling stable metadata and survives.
-#[inline]
-fn lose_entry<M: Mask>(e: &mut BlockEntry<M>) {
-    e.copyset = M::default();
-    e.owner = NO_OWNER;
-}
-
-/// Entry mutation for [`Directory::rebuild_page`]: overwrite the lost
-/// copyset/owner from one block's surviving-sharer report, then resync
-/// the classification bookkeeping so the structural entry rules
-/// (`copyset ⊆ ever`, `induced ∩ copyset = ∅`) hold for the new set.
-#[inline]
-fn rebuild_entry<M: Mask>(e: &mut BlockEntry<M>, report: SharerReport) {
-    match report.dirty_owner {
-        Some(o) => {
-            // A dirty holder implies exclusivity (SWMR): the report's
-            // sharer set collapses to the owner alone.
-            e.copyset = M::bit(o);
-            e.owner = o.0;
-        }
-        None => {
-            e.copyset = M::narrow(report.sharers);
-            e.owner = NO_OWNER;
-        }
-    }
-    e.ever |= e.copyset;
-    e.induced &= !e.copyset;
-}
-
 /// Entry mutation for [`Directory::upgrade`]: exclusivity to `node`.
 /// Returns the copies to invalidate.
 #[inline]
@@ -338,25 +295,6 @@ pub enum DirFault {
     /// `reset_refetch` becomes a no-op, so a relocated page's counter
     /// stays hot and the remap/evict cycle never quiesces (livelock).
     SkipRefetchReset,
-    /// `purge_node` skips the first block the crashed node holds: the
-    /// dead node stays registered in the directory (a failure-detection
-    /// bug — the home "forgets" to reclaim one entry).
-    PurgeSkipsBlock,
-    /// `rebuild_page` ignores the first dirty-owner report (the rebuild
-    /// races an in-flight WbData and loses it): the rebuilt entry lists
-    /// the owner as a clean sharer, so the stale home copy is servable.
-    RebuildSkipsDirty,
-}
-
-/// One block's surviving-sharer report, the input [`Directory::rebuild_page`]
-/// reconstructs a lost directory shard from.  Collected by the recovery
-/// coordinator from every live node's local cache/page-table state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SharerReport {
-    /// Live nodes holding a (clean or dirty) copy of the block.
-    pub sharers: NodeSet,
-    /// The node holding the block dirty, if any (must also be a sharer).
-    pub dirty_owner: Option<NodeId>,
 }
 
 /// The machine-wide directory (conceptually distributed across homes; the
@@ -547,104 +485,6 @@ impl Directory {
             BlockStore::Wide(v) => writeback_entry(&mut v[bi], node),
         }
         self.debug_validate_entry(block);
-    }
-
-    /// A crashed `node` is purged from the directory: every block entry
-    /// drops its membership (dirty ownership reverts home — the modified
-    /// data died with the node, so the home copy becomes authoritative),
-    /// its refetch counters are zeroed on every page, and its replica
-    /// registrations are dropped.  Dropped blocks are marked induced-cold
-    /// so a rejoined node's first fetch of each classifies as an artifact
-    /// of the crash, not a coherence miss.  Returns the number of blocks
-    /// the node was still sharing.
-    ///
-    /// This is the home-side half of failure handling; survivor caches
-    /// are untouched (they hold no state naming the dead node).
-    pub fn purge_node(&mut self, node: NodeId) -> u32 {
-        // Seeded fault: failure detection "forgets" to reclaim the first
-        // block the dead node still shares — it stays registered.
-        #[cfg(feature = "check")]
-        let mut skip_armed = self.fault == Some(DirFault::PurgeSkipsBlock);
-        let mut dropped = 0u32;
-        for b in 0..self.num_blocks() {
-            #[cfg(feature = "check")]
-            if skip_armed && self.entry_view(b).copyset.contains(node) {
-                skip_armed = false;
-                continue;
-            }
-            let (was_dropped, _was_dirty) = match &mut self.blocks {
-                BlockStore::Packed(v) => flush_entry(&mut v[b], node),
-                BlockStore::Wide(v) => flush_entry(&mut v[b], node),
-            };
-            if was_dropped {
-                dropped += 1;
-                self.debug_validate_entry(BlockId(b as u64));
-            }
-        }
-        for page in 0..self.page_written.len() {
-            let slot = self.refetch_slot(VPage(page as u64), node);
-            self.refetch[slot] = 0;
-            self.replicas[page].remove(node);
-        }
-        dropped
-    }
-
-    /// The directory shard covering `page` is lost (SRAM failure): the
-    /// hardware copyset/owner state and the page's refetch counters are
-    /// gone.  Simulator-side bookkeeping (`ever`/`induced` classification
-    /// history, write tracking, replica registrations) models stable
-    /// metadata and survives.  The caller must stop serving fetches for
-    /// the page until [`Directory::rebuild_page`] has run.
-    pub fn lose_page_entries(&mut self, page: VPage) {
-        let bpp = self.geometry.blocks_per_page();
-        for i in 0..bpp {
-            let b = self.geometry.block_id(page, i);
-            let bi = b.0 as usize;
-            match &mut self.blocks {
-                BlockStore::Packed(v) => lose_entry(&mut v[bi]),
-                BlockStore::Wide(v) => lose_entry(&mut v[bi]),
-            }
-            self.debug_validate_entry(b);
-        }
-        for n in 0..self.nodes {
-            let slot = self.refetch_slot(page, NodeId(n as u16));
-            self.refetch[slot] = 0;
-        }
-    }
-
-    /// Rebuild `page`'s lost entries from surviving-sharer reports, one
-    /// per block in block-index order (`reports.len()` must equal the
-    /// geometry's blocks-per-page).  A reported dirty owner becomes the
-    /// exclusive copyset; otherwise the reported sharers become the clean
-    /// copyset with ownership home.
-    pub fn rebuild_page(&mut self, page: VPage, reports: &[SharerReport]) {
-        let bpp = self.geometry.blocks_per_page();
-        assert!(
-            reports.len() == bpp as usize,
-            "rebuild needs one sharer report per block ({} != {bpp})",
-            reports.len()
-        );
-        // Seeded fault: the rebuild races an in-flight writeback and the
-        // first dirty-owner report is lost — the owner rebuilds as a
-        // clean sharer and the stale home copy becomes servable.
-        #[cfg(feature = "check")]
-        let mut drop_dirty = self.fault == Some(DirFault::RebuildSkipsDirty);
-        for i in 0..bpp {
-            #[allow(unused_mut)]
-            let mut report = reports[i as usize];
-            #[cfg(feature = "check")]
-            if drop_dirty && report.dirty_owner.is_some() {
-                drop_dirty = false;
-                report.dirty_owner = None;
-            }
-            let b = self.geometry.block_id(page, i);
-            let bi = b.0 as usize;
-            match &mut self.blocks {
-                BlockStore::Packed(v) => rebuild_entry(&mut v[bi], report),
-                BlockStore::Wide(v) => rebuild_entry(&mut v[bi], report),
-            }
-            self.debug_validate_entry(b);
-        }
     }
 
     /// Current refetch counter for `(page, node)`.
@@ -1043,84 +883,6 @@ mod tests {
         assert!(d.replicas_of(VPage(1)).contains(N2));
     }
 
-    #[test]
-    fn purge_node_drops_membership_ownership_and_counters() {
-        let mut d = dir();
-        let g = d.geometry();
-        d.fetch(N0, BlockId(0), true); // dirty owner of block 0
-        d.fetch(N0, BlockId(0), true); // refetch -> counter 1
-        let b1 = g.block_id(VPage(1), 0);
-        d.fetch(N0, b1, false);
-        d.fetch(N1, b1, false);
-        assert!(d.add_replica(N0, VPage(2)));
-        let dropped = d.purge_node(N0);
-        assert_eq!(dropped, 2);
-        assert!(!d.in_copyset(N0, BlockId(0)));
-        assert_eq!(d.owner_of(BlockId(0)), None, "dirty ownership reverts home");
-        assert!(d.in_copyset(N1, b1), "survivors keep their copies");
-        assert_eq!(d.refetch_count(VPage(0), N0), 0);
-        assert!(!d.replicas_of(VPage(2)).contains(N0));
-        d.validate().expect("purged directory stays well-formed");
-        // A rejoined node's first fetch is an artifact of the crash.
-        let out = d.fetch(N0, BlockId(0), false);
-        assert_eq!(out.class, FetchClass::ColdInduced);
-    }
-
-    #[test]
-    fn lose_and_rebuild_round_trips_surviving_state() {
-        let mut d = dir();
-        let g = d.geometry();
-        let b0 = g.block_id(VPage(0), 0);
-        let b1 = g.block_id(VPage(0), 1);
-        d.fetch(N0, b0, false);
-        d.fetch(N1, b0, false);
-        d.fetch(N0, b0, false); // refetch -> counter 1
-        d.fetch(N2, b1, true);
-        let ever_before = d.ever_of(b0);
-        d.lose_page_entries(VPage(0));
-        assert!(d.copyset_of(b0).is_empty());
-        assert_eq!(d.owner_of(b1), None);
-        assert_eq!(
-            d.refetch_count(VPage(0), N0),
-            0,
-            "counters died with the SRAM"
-        );
-        assert_eq!(d.ever_of(b0), ever_before, "history survives the loss");
-        // Reports as the live caches would state them.
-        let mut reports = vec![SharerReport::default(); g.blocks_per_page() as usize];
-        let mut sharers = NodeSet::empty();
-        sharers.insert(N0);
-        sharers.insert(N1);
-        reports[0] = SharerReport {
-            sharers,
-            dirty_owner: None,
-        };
-        reports[1] = SharerReport {
-            sharers: NodeSet::single(N2),
-            dirty_owner: Some(N2),
-        };
-        d.rebuild_page(VPage(0), &reports);
-        assert!(d.in_copyset(N0, b0) && d.in_copyset(N1, b0));
-        assert_eq!(d.owner_of(b0), None);
-        assert_eq!(d.owner_of(b1), Some(N2), "dirty ownership restored");
-        assert_eq!(d.copyset_of(b1), NodeSet::single(N2));
-        d.validate().expect("rebuilt directory is well-formed");
-    }
-
-    #[test]
-    fn rebuild_of_unreported_blocks_leaves_them_home_clean() {
-        let mut d = dir();
-        let g = d.geometry();
-        let b0 = g.block_id(VPage(0), 0);
-        d.fetch(N0, b0, true);
-        d.lose_page_entries(VPage(0));
-        let reports = vec![SharerReport::default(); g.blocks_per_page() as usize];
-        d.rebuild_page(VPage(0), &reports);
-        assert!(d.copyset_of(b0).is_empty());
-        assert_eq!(d.owner_of(b0), None);
-        d.validate().expect("empty rebuild is well-formed");
-    }
-
     #[cfg(feature = "check")]
     #[test]
     fn skip_forward_fault_drops_only_the_read_forward() {
@@ -1133,50 +895,6 @@ mod tests {
         d.fetch(N0, BlockId(1), true);
         let out = d.fetch(N1, BlockId(1), true);
         assert_eq!(out.forward_from, Some(N0), "write forward kept");
-    }
-
-    #[cfg(feature = "check")]
-    #[test]
-    fn purge_skips_block_fault_leaves_dead_node_registered() {
-        let mut d = dir();
-        let g = d.geometry();
-        d.fetch(N0, BlockId(0), false);
-        let b1 = g.block_id(VPage(1), 0);
-        d.fetch(N0, b1, false);
-        d.inject_fault(Some(DirFault::PurgeSkipsBlock));
-        d.purge_node(N0);
-        assert!(d.in_copyset(N0, BlockId(0)), "first held block is skipped");
-        assert!(!d.in_copyset(N0, b1), "later blocks still purged");
-    }
-
-    #[cfg(feature = "check")]
-    #[test]
-    fn rebuild_skips_dirty_fault_demotes_first_owner_only() {
-        let mut d = dir();
-        let g = d.geometry();
-        let b0 = g.block_id(VPage(0), 0);
-        let b1 = g.block_id(VPage(0), 1);
-        d.fetch(N0, b0, true);
-        d.fetch(N1, b1, true);
-        d.lose_page_entries(VPage(0));
-        d.inject_fault(Some(DirFault::RebuildSkipsDirty));
-        let mut reports = vec![SharerReport::default(); g.blocks_per_page() as usize];
-        reports[0] = SharerReport {
-            sharers: NodeSet::single(N0),
-            dirty_owner: Some(N0),
-        };
-        reports[1] = SharerReport {
-            sharers: NodeSet::single(N1),
-            dirty_owner: Some(N1),
-        };
-        d.rebuild_page(VPage(0), &reports);
-        assert!(d.in_copyset(N0, b0));
-        assert_eq!(
-            d.owner_of(b0),
-            None,
-            "first dirty report dropped by the fault"
-        );
-        assert_eq!(d.owner_of(b1), Some(N1), "later dirty reports survive");
     }
 
     #[test]

@@ -21,10 +21,6 @@ pub struct FramePool {
     /// self-test builds only.
     #[cfg(feature = "check")]
     fault_leak_release: bool,
-    /// Seeded fault: `rejoin_reconcile` rebuilds the free list one frame
-    /// short.  Checker self-test builds only.
-    #[cfg(feature = "check")]
-    fault_rejoin_short: bool,
 }
 
 impl FramePool {
@@ -46,8 +42,6 @@ impl FramePool {
             low_watermark,
             #[cfg(feature = "check")]
             fault_leak_release: false,
-            #[cfg(feature = "check")]
-            fault_rejoin_short: false,
         }
     }
 
@@ -55,14 +49,6 @@ impl FramePool {
     #[cfg(feature = "check")]
     pub fn inject_leak_release(&mut self, armed: bool) {
         self.fault_leak_release = armed;
-    }
-
-    /// Arm the rejoin-short-pool fault: [`FramePool::rejoin_reconcile`]
-    /// rebuilds the free list one frame short, permanently shrinking the
-    /// node's page cache.  Checker self-test builds only.
-    #[cfg(feature = "check")]
-    pub fn inject_rejoin_short(&mut self, armed: bool) {
-        self.fault_rejoin_short = armed;
     }
 
     /// Build from a memory pressure: a node holding `home_pages` home pages
@@ -113,25 +99,6 @@ impl FramePool {
             assert!(!self.free.contains(&frame), "double free of frame {frame}");
         }
         self.free.push(frame);
-    }
-
-    /// Reconcile the pool after a crash: whatever the node's page cache
-    /// held died with it, so every page-cache frame returns to the free
-    /// list (home frames stay consumed — the node still serves its home
-    /// pages after rejoin).  Lifetime statistics (`allocs`,
-    /// `low_watermark`) survive; they describe the simulation run, not
-    /// the incarnation.
-    pub fn rejoin_reconcile(&mut self) {
-        self.free.clear();
-        self.free
-            .extend((self.home_frames..self.total_frames).rev());
-        // Seeded fault: the reconciliation walk under-counts by one frame
-        // — locally invisible (the short list still validates), caught
-        // only by machine-wide frame conservation.
-        #[cfg(feature = "check")]
-        if self.fault_rejoin_short {
-            self.free.pop();
-        }
     }
 
     /// Frames currently free.
@@ -277,33 +244,6 @@ mod tests {
         // The watermark records the deepest drain, not the current level.
         assert_eq!(p.low_watermark(), 1);
         assert_eq!(p.free_count(), 2);
-    }
-
-    #[test]
-    fn rejoin_reconcile_restores_the_full_page_cache() {
-        let mut p = FramePool::new(10, 6, 1, 2);
-        p.alloc();
-        p.alloc();
-        assert_eq!(p.free_count(), 2);
-        p.rejoin_reconcile();
-        assert_eq!(p.free_count(), 4, "crashed residents' frames come back");
-        assert_eq!(p.allocs(), 2, "lifetime statistics survive");
-        p.validate().expect("reconciled pool is well-formed");
-        // Alloc/release cycles work normally afterwards.
-        let f = p.alloc().expect("frame available");
-        p.release(f);
-        assert_eq!(p.free_count(), 4);
-    }
-
-    #[cfg(feature = "check")]
-    #[test]
-    fn rejoin_short_fault_shrinks_pool_but_validates_locally() {
-        let mut p = FramePool::new(10, 6, 1, 2);
-        p.inject_rejoin_short(true);
-        p.rejoin_reconcile();
-        assert_eq!(p.free_count(), 3, "one frame lost in reconciliation");
-        p.validate()
-            .expect("short pool passes local validation — only machine-wide conservation sees it");
     }
 
     #[test]

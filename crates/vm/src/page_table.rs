@@ -55,10 +55,6 @@ pub struct PageTable {
     /// behind.  Checker self-test builds only.
     #[cfg(feature = "check")]
     fault_residency_leak: bool,
-    /// Seeded fault: `rejoin_reset` keeps the first S-COMA entry as if
-    /// restored from a stale TLB snapshot.  Checker self-test builds only.
-    #[cfg(feature = "check")]
-    fault_rejoin_stale: bool,
 }
 
 impl PageTable {
@@ -73,8 +69,6 @@ impl PageTable {
             blocks_per_page,
             #[cfg(feature = "check")]
             fault_residency_leak: false,
-            #[cfg(feature = "check")]
-            fault_rejoin_stale: false,
         }
     }
 
@@ -82,15 +76,6 @@ impl PageTable {
     #[cfg(feature = "check")]
     pub fn inject_residency_leak(&mut self, armed: bool) {
         self.fault_residency_leak = armed;
-    }
-
-    /// Arm the rejoin-stale-TLB fault: [`PageTable::rejoin_reset`] keeps
-    /// the first S-COMA entry (mapping, valid bits, residency slot) as if
-    /// restored from a stale TLB snapshot, even though the cached data
-    /// died with the node.  Checker self-test builds only.
-    #[cfg(feature = "check")]
-    pub fn inject_rejoin_stale_entry(&mut self, armed: bool) {
-        self.fault_rejoin_stale = armed;
     }
 
     #[inline]
@@ -184,38 +169,6 @@ impl PageTable {
         e.scoma_pos = 0;
         self.debug_validate_residency(page);
         frame
-    }
-
-    /// Reset the table after a crash: the rejoining node's TLB, mapping
-    /// modes, valid bits, counters, and residency list all died with the
-    /// node, so every page returns to `Unmapped` with clear reference
-    /// bits.  The caller re-registers the mappings the node needs (its
-    /// home pages, then CC-NUMA base mappings for still-unmapped shared
-    /// pages) before the node serves accesses again.
-    pub fn rejoin_reset(&mut self) {
-        // Seeded fault: the rejoin path "restores" the first S-COMA entry
-        // from a stale TLB snapshot.  The entry is internally consistent
-        // (validate() passes), but its valid bits advertise data the node
-        // no longer holds — only cross-checking against the directory can
-        // catch it.
-        #[cfg(feature = "check")]
-        let kept = if self.fault_rejoin_stale {
-            self.scoma_pages
-                .first()
-                .map(|&p| (p, self.entries[p.0 as usize]))
-        } else {
-            None
-        };
-        self.entries.fill(PageEntry::default());
-        self.referenced.fill(0);
-        self.scoma_pages.clear();
-        #[cfg(feature = "check")]
-        if let Some((p, mut e)) = kept {
-            e.scoma_pos = 1;
-            self.entries[p.0 as usize] = e;
-            self.scoma_pages.push(p);
-            self.debug_validate_residency(p);
-        }
     }
 
     /// The S-COMA residency list (clock-hand domain), in residency order.
@@ -470,48 +423,6 @@ mod tests {
         let mut t = pt();
         t.map_numa(VPage(0));
         t.unmap_scoma(VPage(0));
-    }
-
-    #[test]
-    fn rejoin_reset_returns_table_to_cold_state() {
-        let mut t = pt();
-        t.map_home(VPage(0));
-        t.map_numa(VPage(1));
-        t.map_scoma(VPage(2), 3);
-        t.set_block_valid(VPage(2), 4);
-        t.count_local_refetch(VPage(2));
-        t.touch(VPage(1));
-        t.rejoin_reset();
-        for p in 0..4 {
-            assert_eq!(t.mode(VPage(p)), PageMode::Unmapped);
-            assert!(!t.referenced(VPage(p)));
-        }
-        assert_eq!(t.scoma_count(), 0);
-        assert_eq!(t.local_refetches(VPage(2)), 0);
-        t.validate().expect("reset table is well-formed");
-        // The node can re-register and operate normally.
-        t.map_home(VPage(0));
-        t.map_numa(VPage(2));
-        t.map_scoma(VPage(3), 0);
-        t.validate().expect("re-registered table is well-formed");
-    }
-
-    #[cfg(feature = "check")]
-    #[test]
-    fn rejoin_stale_entry_fault_survives_reset_self_consistently() {
-        let mut t = pt();
-        t.map_scoma(VPage(5), 2);
-        t.set_block_valid(VPage(5), 1);
-        t.map_scoma(VPage(6), 3);
-        t.inject_rejoin_stale_entry(true);
-        t.rejoin_reset();
-        assert_eq!(t.mode(VPage(5)), PageMode::Scoma { frame: 2 });
-        assert!(t.block_valid(VPage(5), 1), "stale valid bits survive");
-        assert_eq!(t.mode(VPage(6)), PageMode::Unmapped);
-        assert_eq!(t.scoma_count(), 1);
-        // The stale entry is internally consistent: only a directory
-        // cross-check can expose it.
-        t.validate().expect("stale entry passes local validation");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 # Correctness gate for the ascoma workspace: formatting, clippy and
 # rustdoc with warnings denied, a panic lint over library code, the conformance
 # checker over the production protocol state machines (clean suite +
-# seeded-fault detection), the liveness, bounded-fault / recovery and
-# soak gates, and the feature-gated interleaving/churn test suites.
+# seeded-fault detection), the liveness, bounded message-fault and soak
+# gates, and the feature-gated interleaving/churn test suites.
 #
 # Run from anywhere inside the repo:
 #
@@ -105,7 +105,6 @@ step "wall-clock audit (allow(clippy::disallowed_methods) sites)"
 # audited measurement/pacing files below.  A new allow anywhere else
 # must be argued into this list, not silently added.
 wall_clock_allowed="
-crates/bench/src/harness.rs
 crates/bench/src/pacing.rs
 crates/bench/src/bin/perf_baseline.rs
 crates/bench/benches/obs_overhead.rs
@@ -160,11 +159,11 @@ if [ "$fast" -eq 0 ]; then
     cargo run -q --release -p ascoma-check --features check \
         --bin model_check -- liveness
 
-    step "fault gate (release): bounded faults k<=2, recovery liveness, seeded recovery bugs"
+    step "fault gate (release): bounded drop/dup faults k<=2, resend liveness"
     cargo run -q --release -p ascoma-check --features check \
         --bin model_check -- faults
 
-    step "fault soak (release): randomized crash/loss/recovery walks"
+    step "fault soak (release): randomized drop/dup/resend walks"
     cargo run -q --release -p ascoma-check --features check \
         --bin model_check -- soak
 else
