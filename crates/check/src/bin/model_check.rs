@@ -4,12 +4,11 @@
 //!
 //! Four subcommands (the first one is the default when omitted):
 //!
-//! * `conform` — every conformance configuration is explored twice,
-//!   exhaustively (BFS) and with DPOR, which must agree on cleanliness
-//!   while DPOR visits strictly fewer states; every seeded production
-//!   fault must be caught.  Counterexamples are ddmin-shrunk before
-//!   being written as JSONL under `--out-dir` (default
-//!   `counterexamples/`).
+//! * `conform` — every conformance configuration is explored
+//!   exhaustively (BFS) and must be clean; every seeded production
+//!   fault must be caught.  Counterexamples — BFS traces, so shortest
+//!   paths to the violation — are written as JSONL under `--out-dir`
+//!   (default `counterexamples/`).
 //! * `liveness` — lasso search over the conformance configurations:
 //!   clean configurations must be free of non-progress cycles *with the
 //!   max-back-off latch actually covered*, and the seeded `skip-reset`
@@ -24,10 +23,9 @@
 //!   `results/FAULT_soak.json`) that `bench report` renders.
 
 use ascoma_check::conform::{ConformConfig, ConformHarness, ConformMutation};
-use ascoma_check::explore::{bfs, dpor};
+use ascoma_check::explore::bfs;
 use ascoma_check::liveness::find_lasso;
-use ascoma_check::shrink::shrink;
-use ascoma_check::{replay_on, Cex, Harness, Lasso};
+use ascoma_check::{Harness, Lasso};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -67,50 +65,30 @@ fn fault_config(m: ConformMutation) -> ConformConfig {
 /// `conform` subcommand body.
 fn conform(max_states: usize, out_dir: &Path) -> bool {
     let mut ok = true;
-    println!("== clean conformance configurations (BFS vs DPOR)");
+    println!("== clean conformance configurations (BFS)");
     for cfg in ConformConfig::smoke_suite() {
         let h = ConformHarness::new(cfg);
         let full = bfs(&h, max_states);
-        let reduced = dpor(&h, max_states);
-        let pct = if full.states > 0 {
-            100.0 * reduced.states as f64 / full.states as f64
-        } else {
-            100.0
-        };
         println!(
-            "{}: BFS {} states / {} transitions, DPOR {} states ({pct:.1}%){}",
+            "{}: BFS {} states / {} transitions{}",
             cfg.label(),
             full.states,
             full.transitions,
-            reduced.states,
-            if full.complete && reduced.complete {
-                ""
-            } else {
-                " (incomplete)"
-            },
+            if full.complete { "" } else { " (incomplete)" },
         );
-        if !full.complete || !reduced.complete {
+        if !full.complete {
             println!("  INCOMPLETE: state cap {max_states} hit");
             ok = false;
             continue;
         }
-        for (engine, cex) in [("BFS", &full.violation), ("DPOR", &reduced.violation)] {
-            if let Some(cex) = cex {
-                println!(
-                    "  VIOLATION ({engine}) [{}] {} ({} steps)",
-                    cex.invariant,
-                    cex.detail,
-                    cex.trace.len()
-                );
-                write_trace(out_dir, &cfg.label(), &cex.to_jsonl(&h));
-                ok = false;
-            }
-        }
-        if full.violation.is_none() && reduced.states >= full.states {
+        if let Some(cex) = &full.violation {
             println!(
-                "  NO REDUCTION: DPOR {} states >= BFS {}",
-                reduced.states, full.states
+                "  VIOLATION [{}] {} ({} steps)",
+                cex.invariant,
+                cex.detail,
+                cex.trace.len()
             );
+            write_trace(out_dir, &cfg.label(), &cex.to_jsonl(&h));
             ok = false;
         }
     }
@@ -121,25 +99,14 @@ fn conform(max_states: usize, out_dir: &Path) -> bool {
         let out = bfs(&h, max_states);
         match out.violation {
             Some(cex) => {
-                let trace = shrink(&h, &cex.invariant, &cex.detail, &cex.trace);
-                let detail = match replay_on(&h, &trace) {
-                    Some((_, d)) => d,
-                    None => cex.detail.clone(),
-                };
                 println!(
-                    "{}: detected [{}] {} ({} steps, shrunk from {})",
+                    "{}: detected [{}] {} ({} steps)",
                     cfg.label(),
                     cex.invariant,
-                    detail,
-                    trace.len(),
+                    cex.detail,
                     cex.trace.len()
                 );
-                let small = Cex {
-                    invariant: cex.invariant,
-                    detail,
-                    trace,
-                };
-                write_trace(out_dir, &cfg.label(), &small.to_jsonl(&h));
+                write_trace(out_dir, &cfg.label(), &cex.to_jsonl(&h));
             }
             None => {
                 println!(
@@ -236,57 +203,32 @@ fn liveness(max_states: usize, out_dir: &Path) -> bool {
 /// `faults` subcommand body: the bounded-fault conformance gate.
 fn faults(max_states: usize, out_dir: &Path) -> bool {
     let mut ok = true;
-    println!("== bounded-fault conformance (k faults per run, BFS vs DPOR)");
+    println!("== bounded-fault conformance (k faults per run, BFS)");
     for k in 0..=2u8 {
         for cfg in ConformConfig::fault_suite(k) {
             let h = ConformHarness::new(cfg);
             let full = bfs(&h, max_states);
-            let reduced = dpor(&h, max_states);
-            let pct = if full.states > 0 {
-                100.0 * reduced.states as f64 / full.states as f64
-            } else {
-                100.0
-            };
             println!(
-                "{}: BFS {} states / {} transitions, DPOR {} states ({pct:.1}%){}",
+                "{}: BFS {} states / {} transitions{}",
                 cfg.label(),
                 full.states,
                 full.transitions,
-                reduced.states,
-                if full.complete && reduced.complete {
-                    ""
-                } else {
-                    " (incomplete)"
-                },
+                if full.complete { "" } else { " (incomplete)" },
             );
             println!("  kinds: {}", full.kinds_summary());
-            if !full.complete || !reduced.complete {
+            if !full.complete {
                 println!("  INCOMPLETE: state cap {max_states} hit");
                 ok = false;
                 continue;
             }
-            for (engine, cex) in [("BFS", &full.violation), ("DPOR", &reduced.violation)] {
-                if let Some(cex) = cex {
-                    println!(
-                        "  VIOLATION ({engine}) [{}] {} ({} steps)",
-                        cex.invariant,
-                        cex.detail,
-                        cex.trace.len()
-                    );
-                    write_trace(out_dir, &cfg.label(), &cex.to_jsonl(&h));
-                    ok = false;
-                }
-            }
-            // DPOR must agree and never expand the space.  The
-            // fault layer's budget coupling makes most fault pairs
-            // dependent, so a strict reduction is not guaranteed at
-            // k > 0 (the plain `conform` gate keeps the strict
-            // check at k = 0).
-            if full.violation.is_none() && reduced.states > full.states {
+            if let Some(cex) = &full.violation {
                 println!(
-                    "  EXPANSION: DPOR {} states > BFS {}",
-                    reduced.states, full.states
+                    "  VIOLATION [{}] {} ({} steps)",
+                    cex.invariant,
+                    cex.detail,
+                    cex.trace.len()
                 );
+                write_trace(out_dir, &cfg.label(), &cex.to_jsonl(&h));
                 ok = false;
             }
             // Coverage: a fault-enabled run must actually take fault

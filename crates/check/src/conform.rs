@@ -211,7 +211,7 @@ impl ConformConfig {
     }
 
     /// The conformance gate suite: every configuration explores to
-    /// completion (BFS and DPOR) well under the CI state cap.  At least
+    /// completion (BFS) well under the CI state cap.  At least
     /// two configurations exercise remap/pageout actions.
     pub fn smoke_suite() -> Vec<ConformConfig> {
         // A Refetch-class fetch (the remap trigger) takes three ops on
@@ -340,7 +340,7 @@ pub enum ConformAction {
     Complete {
         /// Completing node.
         node: u8,
-        /// The block (mirrors the pending slot, for dependence).
+        /// The block (mirrors the pending slot).
         block: u64,
         /// Write intent (mirrors the pending slot).
         write: bool,
@@ -1001,43 +1001,6 @@ impl Harness for ConformHarness {
             }
         }
         v
-    }
-
-    fn dependent(&self, a: &ConformAction, b: &ConformAction) -> bool {
-        // Footprints: (node mask, page mask).  An empty page mask means
-        // "no page state touched" (wildcard against any page set);
-        // Complete and DaemonRun conservatively touch everything they
-        // could reach (directory fan-out / any victim page).
-        const ALL: u64 = u64::MAX;
-        // Any two budget-consuming faults interfere through the shared
-        // budget counter (one can disable the other), whatever their
-        // footprints.
-        let consumes = |a: &ConformAction| -> bool {
-            matches!(
-                a,
-                ConformAction::DropMsg { .. } | ConformAction::DupMsg { .. }
-            )
-        };
-        if consumes(a) && consumes(b) {
-            return true;
-        }
-        let foot = |a: &ConformAction| -> (u64, u64) {
-            match *a {
-                ConformAction::Issue { node, .. } => (1 << node, 0),
-                ConformAction::Complete { .. } => (ALL, ALL),
-                ConformAction::Remap { node, page } | ConformAction::Evict { node, page } => {
-                    (1 << node, 1 << page)
-                }
-                ConformAction::DaemonRun { node } => (1 << node, ALL),
-                // Message-fate flips touch only the node's pending slot.
-                ConformAction::DropMsg { node }
-                | ConformAction::DupMsg { node }
-                | ConformAction::Resend { node } => (1 << node, 0),
-            }
-        };
-        let (na, pa) = foot(a);
-        let (nb, pb) = foot(b);
-        (na & nb) != 0 && ((pa & pb) != 0 || pa == 0 || pb == 0)
     }
 
     fn is_progress(&self, a: &ConformAction) -> bool {

@@ -1,25 +1,20 @@
 //! The [`Harness`] trait: anything the explorers can drive.
 //!
 //! The harness abstraction decouples the exploration engines
-//! ([`crate::explore`], [`crate::liveness`], [`mod@crate::shrink`]) from
-//! *what* is being explored.  Its one implementation is the
-//! conformance harness over the **production** `proto`/`vm`/`mem`
-//! state machines (`crate::conform`, behind the `check` feature); the
-//! engines' own unit tests run on a hand-checkable toy counter harness.
+//! ([`crate::explore`], [`crate::liveness`]) from *what* is being
+//! explored.  Its one implementation is the conformance harness over the
+//! **production** `proto`/`vm`/`mem` state machines (`crate::conform`,
+//! behind the `check` feature); the engines' own unit tests run on a
+//! hand-checkable toy counter harness.
 //!
-//! A harness supplies four things:
+//! A harness supplies three things:
 //!
 //! 1. a clone-able state snapshot and a *deterministic* step function,
 //! 2. enabled-action enumeration (the exploration branching),
 //! 3. an **injective** canonical encoding of the protocol-relevant
 //!    state — the explorers deduplicate on it, so anything excluded
 //!    (monotone bookkeeping: clocks, statistics, trajectories) must
-//!    never be read by a transition,
-//! 4. a conservative static *dependence* relation for partial-order
-//!    reduction: `dependent(a, b)` may over-approximate (costing only
-//!    reduction), but must return `true` whenever executing `a` and
-//!    `b` in either order can lead to different states or change each
-//!    other's enabledness.
+//!    never be read by a transition.
 
 /// A checkable state machine the explorers can drive.
 pub trait Harness {
@@ -46,10 +41,6 @@ pub trait Harness {
     /// Two states with equal encodings must be behaviorally identical
     /// (encode variable-length parts with a length prefix).
     fn canon(&self, s: &Self::State) -> Vec<u64>;
-
-    /// Conservative static dependence: must be `true` whenever `a` and
-    /// `b` can fail to commute (in effect or in enabledness).
-    fn dependent(&self, a: &Self::Action, b: &Self::Action) -> bool;
 
     /// Liveness labeling: `false` for actions that represent no
     /// application progress (remaps, evictions, daemon runs) — a

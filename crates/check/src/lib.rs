@@ -15,12 +15,11 @@
 //!    builds unless their `check` feature is enabled.
 //! 2. **Exploration engines** ([`harness`], [`explore`], [`liveness`]) —
 //!    a [`Harness`] trait (clone-able snapshot, enabled-action
-//!    enumeration, deterministic step, injective canonical encoding,
-//!    static dependence) drives three engines: exhaustive BFS, a
-//!    DPOR-reduced DFS (persistent + sleep sets), and a lasso search for
-//!    livelock (a reachable cycle of non-progress actions).
-//!    Counterexamples are ddmin-minimized by [`shrink()`] before they are
-//!    written as artifacts.
+//!    enumeration, deterministic step, injective canonical encoding)
+//!    drives two engines: exhaustive BFS for safety, whose
+//!    counterexamples are shortest traces to a violating state, and a
+//!    lasso search for livelock (a reachable cycle of non-progress
+//!    actions).
 //! 3. **Conformance checking** ([`conform`], `check` feature) — the
 //!    engines' one harness: the **production** `proto`/`vm`/`mem` state
 //!    machines — real `Directory` fetches, page-table remaps, frame-pool
@@ -48,14 +47,12 @@ pub mod explore;
 pub mod harness;
 pub mod invariant;
 pub mod liveness;
-pub mod shrink;
 #[cfg(test)]
 mod toy;
 pub mod view;
 
-pub use explore::{bfs, dpor, replay_on, Cex, Outcome};
+pub use explore::{bfs, replay_on, Cex, Outcome};
 pub use harness::Harness;
 pub use invariant::{assert_all, catalog, check_all, Invariant, Violation};
 pub use liveness::{find_lasso, Lasso, LivenessOutcome};
-pub use shrink::shrink;
 pub use view::{MachineView, NodeView};

@@ -18,7 +18,7 @@
 //! configuration.
 
 use crate::harness::Harness;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 
 /// A livelock witness: run the `stem` from the initial state, then the
 /// `cycle` repeats forever without any application progress.
@@ -46,9 +46,6 @@ pub struct LivenessOutcome<A> {
     /// "no livelock at max back-off" claim is vacuous unless latched
     /// states were actually explored).
     pub interesting: usize,
-    /// Transitions applied per [`Harness::action_kind`], sorted by kind
-    /// name (fault-coverage evidence for bounded-fault liveness runs).
-    pub kinds: Vec<(&'static str, usize)>,
 }
 
 /// Exhaustively explore `h` and search for a non-progress lasso.
@@ -66,31 +63,27 @@ pub fn find_lasso<H: Harness>(
 ) -> Result<LivenessOutcome<H::Action>, String> {
     let initial = h.initial();
     let mut ids: HashMap<Vec<u64>, u32> = HashMap::new();
-    let mut states_by_id: Vec<H::State> = Vec::new();
+    // Only the unexpanded states are held; a state is moved out when it
+    // is expanded.
+    let mut frontier: VecDeque<(u32, H::State)> = VecDeque::new();
     let mut parents: Vec<Option<(u32, H::Action)>> = Vec::new();
     // Non-progress edges only: (action, destination) per source state.
     let mut np_edges: Vec<Vec<(H::Action, u32)>> = Vec::new();
     let mut transitions = 0usize;
     let mut complete = true;
     let mut interesting_count = 0usize;
-    let mut kinds: BTreeMap<&'static str, usize> = BTreeMap::new();
 
     ids.insert(h.canon(&initial), 0);
     if interesting(&initial) {
         interesting_count += 1;
     }
-    states_by_id.push(initial);
+    frontier.push_back((0, initial));
     parents.push(None);
     np_edges.push(Vec::new());
 
-    let mut cursor = 0usize;
-    'bfs: while cursor < states_by_id.len() {
-        let id = cursor as u32;
-        cursor += 1;
-        let state = states_by_id[id as usize].clone();
+    'bfs: while let Some((id, state)) = frontier.pop_front() {
         for action in h.enabled(&state) {
             transitions += 1;
-            *kinds.entry(h.action_kind(&action)).or_insert(0) += 1;
             let next = h
                 .step(&state, &action)
                 .map_err(|e| format!("illegal transition during liveness search: {e}"))?;
@@ -103,7 +96,7 @@ pub fn find_lasso<H: Harness>(
                     if interesting(&next) {
                         interesting_count += 1;
                     }
-                    states_by_id.push(next);
+                    frontier.push_back((next_id, next));
                     parents.push(Some((id, action.clone())));
                     np_edges.push(Vec::new());
                     next_id
@@ -138,7 +131,6 @@ pub fn find_lasso<H: Harness>(
         complete,
         lasso,
         interesting: interesting_count,
-        kinds: kinds.into_iter().collect(),
     })
 }
 

@@ -2,15 +2,13 @@
 //! about by hand.
 //!
 //! [`Toy`] is `lanes` independent counters, each counting 0..=3 with a
-//! progress `Inc`.  Actions on different lanes commute, so DPOR strictly
-//! reduces the `4^lanes` BFS space.  Two optional extras:
+//! progress `Inc`, so BFS reaches all `4^lanes` states.  Two optional
+//! extras:
 //!
 //! * `with_cycle` adds a non-progress `Hop` (1 -> 2) and `Back` (2 -> 1)
 //!   on every lane — a livelock lasso for [`crate::liveness`];
 //! * `bad_at` seeds a violation: the last lane reaching that value trips
-//!   `toy-bound`.  Any interleaving of the other lanes' steps reaches it
-//!   too, so a DPOR trace (which exhausts lane 0 first) carries steps
-//!   for ddmin to drop.
+//!   `toy-bound`.
 
 use crate::harness::Harness;
 
@@ -105,10 +103,6 @@ impl Harness for Toy {
 
     fn canon(&self, s: &Vec<u8>) -> Vec<u64> {
         s.iter().map(|&v| v as u64).collect()
-    }
-
-    fn dependent(&self, a: &ToyAction, b: &ToyAction) -> bool {
-        a.lane() == b.lane()
     }
 
     fn is_progress(&self, a: &ToyAction) -> bool {

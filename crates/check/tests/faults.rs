@@ -4,14 +4,12 @@
 //! suite up to budget k = 2; these tests keep the same claims on the
 //! configurations small enough for the test profile: clean bounded-fault
 //! exploration with real fault/recovery coverage, a byte-for-byte identical
-//! state space at k = 0, lasso-free drop/resend recovery, and ddmin
-//! shrinking that keeps fault traces legal.
+//! state space at k = 0, and lasso-free drop/resend recovery.
 #![cfg(feature = "check")]
 
-use ascoma_check::conform::{ConformAction, ConformConfig, ConformHarness, ConformMutation};
-use ascoma_check::explore::{bfs, dpor, replay_on, Outcome};
+use ascoma_check::conform::{ConformAction, ConformConfig, ConformHarness};
+use ascoma_check::explore::{bfs, Outcome};
 use ascoma_check::liveness::find_lasso;
-use ascoma_check::shrink::shrink;
 
 const MAX_STATES: usize = 4_000_000;
 
@@ -29,8 +27,8 @@ fn kind_coverage(out: &Outcome<ConformAction>) -> (bool, bool) {
 
 /// The small end of the bounded-fault gate: every coherence-only config at
 /// k = 1 plus a compact single-page AS-COMA config.  Each must
-/// explore completely with zero violations, exercise both fault and
-/// recovery actions (no vacuous pass), and stay DPOR-sound.
+/// explore completely with zero violations and exercise both fault and
+/// recovery actions (no vacuous pass).
 #[test]
 fn bounded_fault_configs_are_clean_with_coverage() {
     let mut cfgs: Vec<ConformConfig> = ConformConfig::fault_suite(1)
@@ -52,23 +50,6 @@ fn bounded_fault_configs_are_clean_with_coverage() {
         let (faults, recovers) = kind_coverage(&full);
         assert!(faults, "{}: no fault action ever fired", cfg.label());
         assert!(recovers, "{}: no recovery action ever fired", cfg.label());
-        let reduced = dpor(&h, MAX_STATES);
-        assert!(reduced.complete, "{}: DPOR hit the state cap", cfg.label());
-        assert!(
-            reduced.violation.is_none(),
-            "{}: DPOR violation: {:?}",
-            cfg.label(),
-            reduced.violation.map(|v| (v.invariant, v.detail))
-        );
-        // The shared fault budget couples fault actions, so the reduction
-        // is weaker than in the fault-free suite but must never expand.
-        assert!(
-            reduced.states <= full.states,
-            "{}: DPOR expanded the state space ({} vs {})",
-            cfg.label(),
-            reduced.states,
-            full.states
-        );
     }
 }
 
@@ -109,70 +90,6 @@ fn resend_recovery_is_lasso_free_and_covers_dropped_states() {
             out.interesting > 0,
             "{}: no dropped-transaction state was ever explored",
             cfg.label()
-        );
-    }
-}
-
-/// ddmin across a fault schedule: a drop/resend pair padded into a
-/// seeded-bug trace is incidental, but removing the drop alone leaves a
-/// resend of nothing — a disabled action, not the bug.  The shrunk trace
-/// must stay legal (every resend after its drop), still reproduce the
-/// bug, and be 1-minimal.
-#[test]
-fn shrunk_fault_traces_stay_legal_and_ordered() {
-    let cfg = ConformConfig {
-        mutation: Some(ConformMutation::SkipInval),
-        ..ConformConfig::coherence(2, 1, 1, 2).with_faults(1)
-    };
-    let h = ConformHarness::new(cfg);
-    let padded = [
-        ConformAction::Issue {
-            node: 0,
-            block: 0,
-            write: false,
-        },
-        ConformAction::DropMsg { node: 0 },
-        ConformAction::Resend { node: 0 },
-        ConformAction::Complete {
-            node: 0,
-            block: 0,
-            write: false,
-        },
-        ConformAction::Issue {
-            node: 1,
-            block: 0,
-            write: true,
-        },
-        ConformAction::Complete {
-            node: 1,
-            block: 0,
-            write: true,
-        },
-    ];
-    let (invariant, detail) = replay_on(&h, &padded).expect("padded trace exposes the bug");
-    assert!(
-        invariant != "disabled-action" && invariant != "illegal-transition",
-        "padded trace must be legal, got {invariant}: {detail}"
-    );
-    let small = shrink(&h, &invariant, &detail, &padded);
-    assert_eq!(
-        replay_on(&h, &small).map(|(inv, _)| inv),
-        Some(invariant.clone())
-    );
-    for (i, a) in small.iter().enumerate() {
-        if let ConformAction::Resend { node } = *a {
-            assert!(
-                small[..i].contains(&ConformAction::DropMsg { node }),
-                "resend without its drop: {small:?}"
-            );
-        }
-    }
-    for i in 0..small.len() {
-        let mut probe = small.clone();
-        probe.remove(i);
-        assert!(
-            replay_on(&h, &probe).map(|(inv, _)| inv) != Some(invariant.clone()),
-            "shrunk trace is not 1-minimal (action {i} removable): {small:?}"
         );
     }
 }

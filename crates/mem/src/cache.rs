@@ -315,16 +315,6 @@ impl DirectMappedCache {
         (n0 + n1, d0 + d1)
     }
 
-    /// Drop every line in the cache. Returns `(lines, dirty_lines)`.
-    pub fn invalidate_all(&mut self) -> (u32, u32) {
-        self.tags.iter_mut().fold((0, 0), |(n, d), t| {
-            let live = *t != EMPTY;
-            let dirty = live & (*t & DIRTY != 0);
-            *t = EMPTY;
-            (n + live as u32, d + dirty as u32)
-        })
-    }
-
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
         self.tags.iter().filter(|&&t| t != EMPTY).count()
@@ -489,16 +479,6 @@ mod tests {
         let (n, _) = c.invalidate_range(VAddr(0), 4096);
         assert_eq!(n, 0);
         assert!(c.contains(VAddr(8192)));
-    }
-
-    #[test]
-    fn invalidate_all_counts() {
-        let mut c = l1();
-        c.fill(VAddr(0), true);
-        c.fill(VAddr(32), false);
-        assert_eq!(c.occupancy(), 2);
-        assert_eq!(c.invalidate_all(), (2, 1));
-        assert_eq!(c.occupancy(), 0);
     }
 
     #[test]

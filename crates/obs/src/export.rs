@@ -285,67 +285,6 @@ where
     out
 }
 
-/// Minimal structural validation that `text` is one JSON value.
-///
-/// Checks bracket/brace balance outside strings, string termination and
-/// escape validity — enough to catch exporter bugs in tests without a
-/// JSON dependency.  Returns `Err` with a description on failure.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let mut stack: Vec<char> = Vec::new();
-    let mut chars = text.chars().peekable();
-    let mut in_string = false;
-    let mut saw_value = false;
-    while let Some(c) = chars.next() {
-        if in_string {
-            match c {
-                '"' => in_string = false,
-                '\\' => match chars.next() {
-                    Some('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') => {}
-                    Some('u') => {
-                        for _ in 0..4 {
-                            match chars.next() {
-                                Some(h) if h.is_ascii_hexdigit() => {}
-                                _ => return Err("bad \\u escape".into()),
-                            }
-                        }
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                _ => {}
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_string = true;
-                saw_value = true;
-            }
-            '{' => stack.push('}'),
-            '[' => stack.push(']'),
-            '}' | ']' => match stack.pop() {
-                Some(expected) if expected == c => saw_value = true,
-                Some(expected) => return Err(format!("expected '{expected}', found '{c}'")),
-                None => return Err(format!("unmatched '{c}'")),
-            },
-            _ => {
-                if !c.is_whitespace() {
-                    saw_value = true;
-                }
-            }
-        }
-    }
-    if in_string {
-        return Err("unterminated string".into());
-    }
-    if !stack.is_empty() {
-        return Err(format!("{} unclosed bracket(s)", stack.len()));
-    }
-    if !saw_value {
-        return Err("empty document".into());
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,7 +331,7 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text.lines().count(), 3);
         for line in text.lines() {
-            validate_json(line).unwrap();
+            crate::json::parse(line).unwrap();
         }
         assert_eq!(text, jsonl_string(&evs));
     }
@@ -400,7 +339,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_with_expected_phases() {
         let doc = chrome_trace(sample_events(), 2);
-        validate_json(&doc).unwrap();
+        crate::json::parse(&doc).unwrap();
         assert!(doc.starts_with("{\"traceEvents\":["));
         assert!(doc.contains("\"ph\":\"M\""));
         assert!(doc.contains("\"ph\":\"i\""));
@@ -412,15 +351,6 @@ mod tests {
     #[test]
     fn chrome_trace_empty_is_still_valid() {
         let doc = chrome_trace(Vec::<TimedEvent>::new(), 1);
-        validate_json(&doc).unwrap();
-    }
-
-    #[test]
-    fn validator_rejects_garbage() {
-        assert!(validate_json("{\"a\":1").is_err());
-        assert!(validate_json("{\"a\":\"unterminated}").is_err());
-        assert!(validate_json("[}").is_err());
-        assert!(validate_json("").is_err());
-        assert!(validate_json("{\"a\":[1,2,{\"b\":\"x\\n\"}]}").is_ok());
+        crate::json::parse(&doc).unwrap();
     }
 }

@@ -265,13 +265,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let txt = std::str::from_utf8(rest).map_err(|_| self.err("bad utf-8"))?;
-                    let ch = txt.chars().next().ok_or_else(|| self.err("empty"))?;
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
+                    // A run of plain characters up to the next quote or
+                    // escape: both are ASCII, so the run is whole UTF-8
+                    // characters, and each byte is decoded once.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("bad utf-8"))?;
+                    s.push_str(run);
                 }
             }
         }

@@ -739,7 +739,6 @@ mod tests {
     fn digest_json_is_valid_and_stable() {
         let d = MetricsRegistry::from_events(stream(), 2, DEFAULT_WINDOW).digest();
         let j = d.to_json();
-        crate::export::validate_json(&j).unwrap();
         let v = crate::json::parse(&j).unwrap();
         let r3 = v.get("hists").unwrap().get("miss_service/remote3").unwrap();
         assert_eq!(r3.get("count").unwrap().as_u64(), Some(2));

@@ -613,7 +613,7 @@ mod tests {
         for ev in events {
             let line = ev.to_json();
             assert_eq!(parse_stream_line(&line), Ok(ev.clone()), "{line}");
-            crate::export::validate_json(&line).unwrap();
+            crate::json::parse(&line).unwrap();
         }
     }
 

@@ -131,7 +131,7 @@ if [ "$audit_viol" -ne 0 ]; then
 fi
 echo "wall-clock audit clean"
 
-step "exploration engine unit tests (BFS, DPOR, lasso, ddmin)"
+step "exploration engine unit tests (BFS, lasso)"
 cargo test -q -p ascoma-check
 
 step "conformance harness tests (ascoma-check --features check)"
@@ -151,7 +151,7 @@ cargo test -q -p ascoma --test controller
 cargo test -q -p ascoma --features check --test controller
 
 if [ "$fast" -eq 0 ]; then
-    step "conformance gate (release): production machines, BFS vs DPOR"
+    step "conformance gate (release): production machines, exhaustive BFS"
     cargo run -q --release -p ascoma-check --features check \
         --bin model_check -- conform
 

@@ -16,7 +16,7 @@
 use ascoma::machine::{simulate, simulate_measured_streamed};
 use ascoma::parallel::run_indexed;
 use ascoma::{Arch, Machine, RunResult, SimConfig};
-use ascoma_obs::export::{chrome_trace, jsonl_string, validate_json};
+use ascoma_obs::export::{chrome_trace, jsonl_string};
 use ascoma_obs::json::{parse, Json};
 use ascoma_obs::{summarize, Event, EventLog, NoopSink, TimedEvent};
 use ascoma_workloads::apps::em3d::Em3dParams;
@@ -160,7 +160,7 @@ fn acceptance_trace_em3d_70_pct() {
     );
 
     let doc = chrome_trace(&events, trace.nodes);
-    validate_json(&doc).expect("chrome trace must be valid JSON");
+    parse(&doc).expect("chrome trace must be valid JSON");
     assert!(doc.contains("\"ph\":\"i\"") && doc.contains("\"ph\":\"C\""));
 
     let s = summarize(&events, trace.nodes);
