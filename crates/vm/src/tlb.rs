@@ -89,7 +89,9 @@ impl Tlb {
             return true;
         }
         self.misses += 1;
-        let way = self.fill[set] as usize % self.ways;
+        // `ways` is a power of two no larger than 256, so the mask is
+        // the remainder of the wrapping `u8` pointer, without a divide.
+        let way = self.fill[set] as usize & (self.ways - 1);
         self.fill[set] = self.fill[set].wrapping_add(1);
         slots[way] = page.0;
         // The fill makes `page` resident; reassigning the filter also
@@ -178,6 +180,23 @@ mod tests {
         assert_eq!((h0, m0), (0, 64));
         for p in 0..64u64 {
             assert!(t.access(VPage(p)), "page {p} evicted within capacity");
+        }
+    }
+
+    /// The victim sequence is plain round-robin per set, `fill % ways`
+    /// with an unbounded counter, for 1, 2, 8 and 256 ways, well past the
+    /// point where the `u8` fill pointer wraps.
+    #[test]
+    fn victim_order_is_round_robin_for_every_way_count() {
+        for ways in [1, 2, 8, 256] {
+            let mut t = Tlb::new(ways, ways); // one set
+            let mut model = vec![Tlb::INVALID; ways];
+            for fill in 0..3 * 256 + 5u64 {
+                // A fresh page every time: every access misses and fills.
+                assert!(!t.access(VPage(fill)));
+                model[fill as usize % ways] = fill;
+                assert_eq!(t.entries, model, "ways {ways}, fill {fill}");
+            }
         }
     }
 

@@ -133,22 +133,40 @@ mod tests {
         }
     }
 
-    /// Every generator at every size class stays inside the 30-bit
-    /// address space of a stored op word (a push beyond it panics).
+    /// Every generator at every size class fits its stored op words: in
+    /// every segment the largest address over the segment's granule
+    /// stays below `OP_WORD_LIMIT` (a push beyond it panics).  Prints
+    /// the headroom of the tightest segment.
     #[test]
     fn every_size_class_fits_the_op_word() {
+        use crate::trace::OP_WORD_LIMIT;
         for size in SizeClass::ALL {
             for app in App::ALL {
                 let t = app.build(size, 4096);
-                let top = t
+                let (field, granule) = t
                     .programs
                     .iter()
                     .flat_map(|p| &p.segments)
-                    .flat_map(|s| &s.ops)
-                    .map(|o| o.addr())
+                    .map(|s| {
+                        let g = s.ops.granule();
+                        let top = s.ops.iter().map(|o| o.addr()).max().unwrap_or(0);
+                        assert_eq!(top % g, 0, "{}: granule {g} B", app.name());
+                        (top / g, g)
+                    })
                     .max()
-                    .unwrap_or(0);
-                assert!(top < crate::trace::OP_ADDR_LIMIT, "{}", app.name());
+                    .unwrap_or((0, 1));
+                assert!(
+                    field < OP_WORD_LIMIT,
+                    "{} {}: word field {field:#x} at granule {granule} B",
+                    app.name(),
+                    size.name()
+                );
+                println!(
+                    "{} {}: largest word field {field:#x} at granule {granule} B, headroom {:.1}x",
+                    app.name(),
+                    size.name(),
+                    OP_WORD_LIMIT as f64 / (field + 1) as f64
+                );
             }
         }
     }

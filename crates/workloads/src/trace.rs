@@ -19,9 +19,9 @@ use ascoma_sim::NodeId;
 /// One memory operation, packed into a `u64`:
 /// bits 2.. = byte address, bit 1 = private, bit 0 = write.
 ///
-/// This is the value type of an operation.  A [`Segment`] stores the
-/// same layout in one 32-bit word per operation ([`Ops`]), so a stored
-/// address must lie below [`OP_ADDR_LIMIT`].
+/// This is the value type of an operation.  A [`Segment`] stores it in
+/// a 3-byte word per operation ([`Ops`]), so a stored address must lie
+/// below [`OP_WORD_LIMIT`] times its segment's [`Ops::granule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedOp(pub u64);
 
@@ -52,51 +52,174 @@ impl PackedOp {
     }
 }
 
-/// Exclusive upper bound of a stored operation's byte address: the 30
-/// bits a 32-bit op word leaves above the private and write flags.
-pub const OP_ADDR_LIMIT: u64 = 1 << 30;
+/// Exclusive upper bound of a stored word's address field: an op in a
+/// segment of granule `g` must have `addr / g` below this, so the limit
+/// is 4 MiB at granule 1 and 512 MiB at the largest granule.
+pub const OP_WORD_LIMIT: u64 = 1 << 22;
 
-/// A segment's operations in program order, one 32-bit word each in
-/// [`PackedOp`]'s layout (`addr << 2 | private << 1 | write`).
+/// log2 of the largest [`Ops::granule`] (128 B).
+pub const MAX_GRANULE_SHIFT: u32 = 7;
+
+/// A segment's operations in program order, one 3-byte little-endian
+/// word each: bits 2..24 hold `addr >> shift`, bit 1 the private flag
+/// and bit 0 the write flag.
 ///
-/// Stored traces are most of a run's memory, and no generator emits an
-/// address at or above 2^24, so the upper half of a `u64` op would only
-/// ever hold zeros.  [`Ops::push`] asserts the address fits; a word is
-/// never truncated.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Ops(Vec<u32>);
+/// `1 << shift` is the segment's *granule*: the largest power of two,
+/// at most 2^[`MAX_GRANULE_SHIFT`], that divides every address pushed
+/// so far.  A push that lowers it re-packs the earlier words in place,
+/// so the words are lossless and canonical (equal op sequences store
+/// equal bytes).  Once a word is stored the bytes start with one zero
+/// pad byte, so every word can be read with one 4-byte load that ends
+/// at its last byte.
+///
+/// Stored traces are most of a run's memory, and every generator's
+/// fields fit 22 bits with room to spare, so a fourth byte per op would
+/// only ever hold zeros.  [`Ops::push`] asserts the address fits; a
+/// word is never truncated.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Ops {
+    bytes: Vec<u8>,
+    /// log2 of the granule.
+    shift: u32,
+    /// The address bits a push must find clear, `!((OP_WORD_LIMIT - 1)
+    /// << shift)`: kept beside `shift` so the fast path is one test.
+    reject: u64,
+}
+
+impl Default for Ops {
+    fn default() -> Self {
+        Self {
+            bytes: Vec::new(),
+            shift: MAX_GRANULE_SHIFT,
+            reject: reject_mask(MAX_GRANULE_SHIFT),
+        }
+    }
+}
+
+/// The address bits that must be clear for an address to fit a word at
+/// granule `1 << shift`: its low bits and everything above the field.
+const fn reject_mask(shift: u32) -> u64 {
+    !((OP_WORD_LIMIT - 1) << shift)
+}
+
+/// The op a stored `word` holds at granule `1 << shift`.
+#[inline]
+fn decode(word: u32, shift: u32) -> PackedOp {
+    PackedOp(u64::from(word & !3) << shift | u64::from(word & 3))
+}
+
+/// Panic unless `addr` fits a word at granule `1 << shift`.
+#[inline]
+fn assert_fits(addr: u64, shift: u32) {
+    #[cold]
+    #[inline(never)]
+    fn too_large(addr: u64, shift: u32) -> ! {
+        panic!(
+            "trace op address {addr:#x} does not fit a 24-bit op word at granule {} B \
+             (limit {:#x})",
+            1u64 << shift,
+            OP_WORD_LIMIT << shift
+        )
+    }
+    if addr >> shift >= OP_WORD_LIMIT {
+        too_large(addr, shift)
+    }
+}
 
 impl Ops {
     /// Append `op`.
     ///
     /// # Panics
-    /// If `op`'s address is not below [`OP_ADDR_LIMIT`].
+    /// If `op`'s address, or an earlier address of this segment, does
+    /// not fit [`OP_WORD_LIMIT`] at the granule that includes `op`.
     #[inline]
     pub fn push(&mut self, op: PackedOp) {
-        assert!(
-            op.addr() < OP_ADDR_LIMIT,
-            "trace op address {:#x} does not fit a 32-bit op word (limit 2^30)",
-            op.addr()
-        );
-        self.0.push(op.0 as u32);
+        let addr = op.addr();
+        // One test covers both slow cases: `addr` is not a multiple of
+        // the granule, or its field does not fit a word.
+        if addr & self.reject != 0 {
+            self.regranule(addr);
+        }
+        let word = ((addr >> self.shift) << 2) as u32 | (op.0 & 3) as u32;
+        if self.bytes.is_empty() {
+            self.bytes.push(0);
+        }
+        self.bytes.extend_from_slice(&word.to_le_bytes()[..3]);
+    }
+
+    /// The stored words, after the pad byte.
+    #[inline]
+    fn words(&self) -> &[u8] {
+        self.bytes.get(1..).unwrap_or_default()
+    }
+
+    /// Lower the granule to the largest that also divides `addr`, and
+    /// re-pack the stored words at it.
+    ///
+    /// # Panics
+    /// If `addr` or a stored address does not fit a word at the new
+    /// granule; every check runs before any word is rewritten.
+    #[cold]
+    #[inline(never)]
+    fn regranule(&mut self, addr: u64) {
+        let shift = addr.trailing_zeros().min(self.shift);
+        assert_fits(addr, shift);
+        let up = self.shift - shift;
+        // A field grows by `up` bits, so every stored word still fits iff
+        // the top `up` bits of its top byte are clear.
+        let tops = self.words().chunks_exact(3).fold(0, |acc, w| acc | w[2]);
+        if u32::from(tops) >> (8 - up) != 0 {
+            assert_fits(self.iter().map(PackedOp::addr).max().unwrap_or(0), shift);
+        }
+        // Four words per u128: each 24-bit lane keeps its flags and
+        // shifts its field, which cannot carry into the next lane.
+        const FLAGS: u128 = 3 | 3 << 24 | 3 << 48 | 3 << 72;
+        const FIELDS: u128 = ((1 << 96) - 1) ^ FLAGS;
+        let repack = |q: &mut [u8]| {
+            let mut buf = [0; 16];
+            buf[..q.len()].copy_from_slice(q);
+            let x = u128::from_le_bytes(buf);
+            q.copy_from_slice(&((x & FIELDS) << up | x & FLAGS).to_le_bytes()[..q.len()]);
+        };
+        let mut quads = self
+            .bytes
+            .get_mut(1..)
+            .unwrap_or_default()
+            .chunks_exact_mut(12);
+        for q in &mut quads {
+            repack(q);
+        }
+        repack(quads.into_remainder());
+        self.shift = shift;
+        self.reject = reject_mask(shift);
+    }
+
+    /// The segment's granule in bytes: every stored address is a
+    /// multiple of it.
+    #[inline]
+    pub fn granule(&self) -> u64 {
+        1 << self.shift
     }
 
     /// Number of operations.
     #[inline]
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.bytes.len() / 3
     }
 
     /// Whether there are no operations.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.bytes.is_empty()
     }
 
     /// The operations, in program order.
     #[inline]
     pub fn iter(&self) -> OpsIter<'_> {
-        OpsIter(self.0.iter())
+        OpsIter {
+            words: self.words().chunks_exact(3),
+            shift: self.shift,
+        }
     }
 }
 
@@ -111,19 +234,26 @@ impl<'a> IntoIterator for &'a Ops {
 
 /// Iterator over an [`Ops`], decoding each word into a [`PackedOp`].
 #[derive(Debug, Clone)]
-pub struct OpsIter<'a>(std::slice::Iter<'a, u32>);
+pub struct OpsIter<'a> {
+    words: std::slice::ChunksExact<'a, u8>,
+    shift: u32,
+}
 
 impl Iterator for OpsIter<'_> {
     type Item = PackedOp;
 
     #[inline]
     fn next(&mut self) -> Option<PackedOp> {
-        self.0.next().map(|&w| PackedOp(w.into()))
+        let w = self.words.next()?;
+        Some(decode(
+            u32::from_le_bytes([w[0], w[1], w[2], 0]),
+            self.shift,
+        ))
     }
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
+        self.words.size_hint()
     }
 }
 
@@ -148,7 +278,8 @@ impl Segment {
     /// Append a shared-memory operation.
     ///
     /// # Panics
-    /// If `addr` is not below [`OP_ADDR_LIMIT`].
+    /// If the segment's addresses stop fitting its op words (see
+    /// [`Ops::push`]).
     #[inline]
     pub fn push(&mut self, addr: u64, write: bool) {
         self.ops.push(PackedOp::new(addr, write, false));
@@ -158,7 +289,8 @@ impl Segment {
     /// private region).
     ///
     /// # Panics
-    /// If `offset` is not below [`OP_ADDR_LIMIT`].
+    /// If the segment's addresses stop fitting its op words (see
+    /// [`Ops::push`]).
     #[inline]
     pub fn push_private(&mut self, offset: u64, write: bool) {
         self.ops.push(PackedOp::new(offset, write, true));
@@ -193,7 +325,7 @@ impl NodeProgram {
     /// Add a segment, returning its index for scheduling.  The segment
     /// is complete, so its op storage is trimmed to its length.
     pub fn add_segment(&mut self, mut seg: Segment) -> u32 {
-        seg.ops.0.shrink_to_fit();
+        seg.ops.bytes.shrink_to_fit();
         self.segments.push(seg);
         (self.segments.len() - 1) as u32
     }
@@ -412,11 +544,13 @@ impl Trace {
 pub struct TraceRunner<'a> {
     program: &'a NodeProgram,
     sched_idx: usize,
-    op_idx: usize,
-    /// Ops of the segment currently being replayed (empty between
-    /// segments).  Caching the slice keeps the per-op path to one bounds
-    /// check instead of schedule → segment table → ops re-resolution.
-    cur_ops: &'a [u32],
+    /// The current segment's op bytes from the byte before its next word
+    /// on (fewer than 4 once it is done).  Caching the slice keeps the
+    /// per-op path to one bounds check instead of schedule → segment
+    /// table → ops re-resolution.
+    cur_ops: &'a [u8],
+    /// Granule shift of the current segment.
+    cur_shift: u32,
     /// `compute_per_op` of the current segment.
     cur_compute: u32,
 }
@@ -451,15 +585,17 @@ impl<'a> TraceRunner<'a> {
         Self {
             program,
             sched_idx: 0,
-            op_idx: 0,
             cur_ops: &[],
+            cur_shift: 0,
             cur_compute: 0,
         }
     }
 
     #[inline]
-    fn access(word: u32, pre_compute: u32) -> Op {
-        let op = PackedOp(word.into());
+    fn access(bytes: [u8; 4], shift: u32, pre_compute: u32) -> Op {
+        // The word is the top three bytes; the first is the pad byte or
+        // the previous word's last byte.
+        let op = decode(u32::from_le_bytes(bytes) >> 8, shift);
         Op::Access {
             addr: VAddr(op.addr()),
             write: op.write(),
@@ -472,23 +608,23 @@ impl<'a> TraceRunner<'a> {
     #[allow(clippy::should_implement_trait)] // borrowed iterator; keep inherent
     #[inline]
     pub fn next(&mut self) -> Option<Op> {
-        // Fast path: still inside the current segment.
-        if let Some(&op) = self.cur_ops.get(self.op_idx) {
-            self.op_idx += 1;
-            return Some(Self::access(op, self.cur_compute));
+        // Fast path: still inside the current segment.  The pad byte
+        // keeps the 4-byte load of the first word in bounds.
+        if let Some(&w) = self.cur_ops.first_chunk::<4>() {
+            self.cur_ops = &self.cur_ops[3..];
+            return Some(Self::access(w, self.cur_shift, self.cur_compute));
         }
-        self.cur_ops = &[];
         loop {
             let item = self.program.schedule.get(self.sched_idx)?;
             self.sched_idx += 1;
             match *item {
                 ScheduleItem::Run(seg_idx) => {
                     let seg = &self.program.segments[seg_idx as usize];
-                    if let Some(&op) = seg.ops.0.first() {
-                        self.cur_ops = &seg.ops.0;
+                    if let Some(&w) = seg.ops.bytes.first_chunk::<4>() {
+                        self.cur_ops = &seg.ops.bytes[3..];
+                        self.cur_shift = seg.ops.shift;
                         self.cur_compute = seg.compute_per_op;
-                        self.op_idx = 1;
-                        return Some(Self::access(op, seg.compute_per_op));
+                        return Some(Self::access(w, seg.ops.shift, seg.compute_per_op));
                     }
                 }
                 ScheduleItem::Compute(c) => return Some(Op::Compute(c)),
@@ -518,67 +654,202 @@ mod tests {
 
     #[test]
     fn op_word_roundtrips_at_the_address_limit() {
-        let top = OP_ADDR_LIMIT - 1;
-        for write in [false, true] {
-            for private in [false, true] {
-                let mut ops = Ops::default();
-                ops.push(PackedOp::new(top, write, private));
-                let mut seg = Segment::new(0);
-                if private {
-                    seg.push_private(top, write);
-                } else {
-                    seg.push(top, write);
-                }
-                for stored in [&ops, &seg.ops] {
-                    let op = stored.iter().next().unwrap();
-                    assert_eq!(op, PackedOp::new(top, write, private));
-                    assert_eq!((op.addr(), op.write(), op.private()), (top, write, private));
-                    assert_eq!(u64::from(stored.0[0]), op.0);
+        // The top address at granules 1, 32 and 128.
+        for (granule, top) in [
+            (1, OP_WORD_LIMIT - 1),
+            (32, (OP_WORD_LIMIT - 1) * 32),
+            (128, (OP_WORD_LIMIT - 1) * 128),
+        ] {
+            for write in [false, true] {
+                for private in [false, true] {
+                    let mut ops = Ops::default();
+                    ops.push(PackedOp::new(top, write, private));
+                    let mut seg = Segment::new(0);
+                    if private {
+                        seg.push_private(top, write);
+                    } else {
+                        seg.push(top, write);
+                    }
+                    for stored in [&ops, &seg.ops] {
+                        let op = stored.iter().next().unwrap();
+                        assert_eq!(op, PackedOp::new(top, write, private));
+                        assert_eq!((op.addr(), op.write(), op.private()), (top, write, private));
+                        assert_eq!(stored.granule(), granule);
+                        assert_eq!(stored.bytes.len(), 4, "one word and the pad byte");
+                    }
                 }
             }
         }
     }
 
+    /// The stored bytes `ops` must hold: one pad byte, then every
+    /// address at the largest granule (at most 128 B) that divides them
+    /// all.
+    fn expected_bytes(ops: &[PackedOp]) -> Vec<u8> {
+        let shift = ops
+            .iter()
+            .map(|op| op.addr().trailing_zeros())
+            .fold(MAX_GRANULE_SHIFT, u32::min);
+        let words = ops.iter().flat_map(|op| {
+            let word = (op.addr() >> shift) << 2 | (op.0 & 3);
+            word.to_le_bytes().into_iter().take(3)
+        });
+        let pad = (!ops.is_empty()).then_some(0);
+        pad.into_iter().chain(words).collect()
+    }
+
+    /// Random segments against a plain `Vec<u64>` model, stored and
+    /// replayed: aligned pushes first, then finer ones that re-pack the
+    /// earlier words, address 0, and private offsets mixed with shared
+    /// addresses.
     #[test]
-    #[should_panic(expected = "0x40000000 does not fit")]
+    fn ops_round_trip_against_a_u64_model() {
+        let mut rng = ascoma_sim::rng::SimRng::seed_from(0x24b1);
+        for case in 0..400 {
+            // The finest granule this segment reaches bounds every address.
+            let finest = rng.below(u64::from(MAX_GRANULE_SHIFT) + 1) as u32;
+            let limit = OP_WORD_LIMIT << finest;
+            let mut seg = Segment::new(0);
+            let mut model: Vec<u64> = Vec::new();
+            let n = rng.range(1, 200);
+            for i in 0..n {
+                // Coarse addresses first; finer ones only past the middle.
+                let shift = if i < n / 2 {
+                    MAX_GRANULE_SHIFT
+                } else {
+                    rng.range(u64::from(finest), u64::from(MAX_GRANULE_SHIFT) + 1) as u32
+                };
+                let addr = match rng.below(8) {
+                    0 => 0,
+                    1 => limit - (1 << shift),
+                    _ => rng.below(limit >> shift) << shift,
+                };
+                let (write, private) = (rng.chance(0.5), rng.chance(0.3));
+                if private {
+                    seg.push_private(addr, write);
+                } else {
+                    seg.push(addr, write);
+                }
+                model.push(PackedOp::new(addr, write, private).0);
+                assert_eq!(seg.ops.len(), model.len());
+                let last = seg.ops.iter().last().unwrap();
+                assert_eq!(last.0, *model.last().unwrap(), "case {case} push {i}");
+            }
+            let stored: Vec<u64> = seg.ops.iter().map(|op| op.0).collect();
+            assert_eq!(stored, model, "case {case}");
+            let model_ops: Vec<PackedOp> = model.iter().map(|&w| PackedOp(w)).collect();
+            assert_eq!(seg.ops.bytes, expected_bytes(&model_ops), "case {case}");
+            assert!(seg.ops.granule() >= 1 << finest, "case {case}");
+            // The runner's 4-byte loads decode the same stream.
+            let mut p = NodeProgram::default();
+            let i = p.add_segment(seg);
+            p.schedule = vec![ScheduleItem::Run(i)];
+            let mut r = TraceRunner::new(&p);
+            let replayed: Vec<u64> = std::iter::from_fn(|| r.next())
+                .map(|op| match op {
+                    Op::Access {
+                        addr,
+                        write,
+                        private,
+                        ..
+                    } => PackedOp::new(addr.0, write, private).0,
+                    other => panic!("case {case}: {other:?}"),
+                })
+                .collect();
+            assert_eq!(replayed, model, "case {case}");
+        }
+    }
+
+    #[test]
+    fn address_zero_keeps_the_largest_granule() {
+        let mut ops = Ops::default();
+        ops.push(PackedOp::new(0, true, true));
+        ops.push(PackedOp::new(0, false, false));
+        assert_eq!(ops.granule(), 1 << MAX_GRANULE_SHIFT);
+        assert_eq!(ops.bytes, [0, 3, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "0x400000 does not fit a 24-bit op word at granule 1 B")]
     fn push_at_the_address_limit_panics() {
-        Segment::new(0).push(OP_ADDR_LIMIT, false);
+        let mut seg = Segment::new(0);
+        seg.push(1, false);
+        seg.push(OP_WORD_LIMIT - 1, false);
+        seg.push(OP_WORD_LIMIT, false);
     }
 
     #[test]
-    #[should_panic(expected = "0x40000000 does not fit")]
+    #[should_panic(expected = "0x8000000 does not fit a 24-bit op word at granule 32 B")]
     fn push_private_at_the_address_limit_panics() {
-        Segment::new(0).push_private(OP_ADDR_LIMIT, true);
+        let mut seg = Segment::new(0);
+        seg.push_private(32, true);
+        seg.push_private((OP_WORD_LIMIT - 1) * 32, true);
+        seg.push_private(OP_WORD_LIMIT * 32, true);
     }
 
-    /// Memory guard: a stored op is one 4-byte word, with no slack
-    /// capacity left behind by segment construction.
+    /// A finer granule can push an earlier address out of range: the
+    /// re-pack checks every stored word before it rewrites any.
     #[test]
-    fn em3d_default_op_storage_is_four_bytes_per_static_op() {
-        let t = crate::App::Em3d.build(crate::SizeClass::Default, 4096);
-        let segs = || t.programs.iter().flat_map(|p| &p.segments);
-        let static_ops: usize = segs().map(|s| s.ops.len()).sum();
-        let bytes: usize = segs().map(|s| s.ops.0.capacity() * 4).sum();
-        assert_eq!(static_ops, 1_181_696);
-        assert_eq!(bytes, 4 * static_ops);
+    #[should_panic(expected = "0x400000 does not fit a 24-bit op word at granule 1 B")]
+    fn regranule_past_an_earlier_address_panics() {
+        let mut seg = Segment::new(0);
+        seg.push(OP_WORD_LIMIT, false);
+        seg.push(1, false);
     }
 
-    /// The runner decodes exactly what was stored: re-packing its access
-    /// stream reproduces every segment's words in schedule order.
+    /// Stored bytes of every segment of `t`, and its static op count.
+    fn op_storage(t: &Trace) -> (usize, usize, usize) {
+        let segs = || t.programs.iter().flat_map(|p| &p.segments);
+        let static_ops = segs().map(|s| s.ops.len()).sum();
+        let pads = segs().filter(|s| !s.ops.is_empty()).count();
+        let bytes = segs().map(|s| s.ops.bytes.capacity()).sum();
+        (static_ops, pads, bytes)
+    }
+
+    /// Memory guard: a stored op is one 3-byte word plus one pad byte
+    /// per segment, with no slack capacity left behind by segment
+    /// construction.
+    #[test]
+    fn em3d_default_op_storage_is_three_bytes_per_static_op() {
+        let t = crate::App::Em3d.build(crate::SizeClass::Default, 4096);
+        let (static_ops, pads, bytes) = op_storage(&t);
+        assert_eq!(static_ops, 1_181_696);
+        assert_eq!(bytes, 3 * static_ops + pads);
+    }
+
+    /// Memory guard on the `remote-thrash` benchmark's two traces, radix
+    /// at Paper size and barnes at Default: 3 bytes per static op plus
+    /// the pad bytes, pinned to the byte.
+    #[test]
+    fn radix_paper_and_barnes_default_op_storage() {
+        let radix = crate::App::Radix.build(crate::SizeClass::Paper, 4096);
+        let barnes = crate::App::Barnes.build(crate::SizeClass::Default, 4096);
+        let mut got = Vec::new();
+        for t in [&radix, &barnes] {
+            let (static_ops, pads, bytes) = op_storage(t);
+            assert_eq!(bytes, 3 * static_ops + pads, "{}", t.name);
+            got.push((static_ops, bytes));
+        }
+        // 10.6 MiB together, where 4-byte words took 14.2 MiB.
+        assert_eq!(got, [(3_407_872, 10_223_656), (313_344, 940_112)]);
+    }
+
+    /// The runner decodes exactly what was stored: its access stream is
+    /// every segment's [`Ops::iter`] in schedule order.
     #[test]
     fn runner_repacks_into_the_stored_words_for_every_app() {
         for app in crate::App::ALL {
             let t = app.build(crate::SizeClass::Tiny, 4096);
             for p in &t.programs {
-                let stored: Vec<u32> = p
+                let stored: Vec<u64> = p
                     .schedule
                     .iter()
                     .filter_map(|item| match *item {
-                        ScheduleItem::Run(i) => Some(&p.segments[i as usize].ops.0),
+                        ScheduleItem::Run(i) => Some(&p.segments[i as usize].ops),
                         _ => None,
                     })
                     .flatten()
-                    .copied()
+                    .map(|op| op.0)
                     .collect();
                 let mut replayed = Vec::with_capacity(stored.len());
                 let mut r = TraceRunner::new(p);
@@ -590,7 +861,7 @@ mod tests {
                         ..
                     } = op
                     {
-                        replayed.push(PackedOp::new(addr.0, write, private).0 as u32);
+                        replayed.push(PackedOp::new(addr.0, write, private).0);
                     }
                 }
                 assert!(!stored.is_empty(), "{}", app.name());

@@ -163,9 +163,15 @@ if [ "$fast" -eq 0 ]; then
     cargo run -q --release -p ascoma-check --features check \
         --bin model_check -- faults
 
-    step "fault soak (release): randomized drop/dup/resend walks"
+    step "fault soak (release): randomized drop/dup/resend walks, counters diffed against the baseline"
+    # Write the run to a scratch file: the committed results/FAULT_soak.json
+    # is the baseline it is diffed against, as in CI.
+    soak_dir=$(mktemp -d)
+    trap 'rm -rf "$soak_dir"' EXIT
     cargo run -q --release -p ascoma-check --features check \
-        --bin model_check -- soak
+        --bin model_check -- soak --soak-out "$soak_dir/FAULT_soak.json"
+    cargo run -q --release -p ascoma-bench --bin bench -- \
+        diff results/FAULT_soak.json "$soak_dir/FAULT_soak.json"
 else
     step "conformance / liveness / fault / soak gates skipped (--fast)"
 fi
