@@ -205,7 +205,12 @@ impl<'t, S: Sink> Machine<'t, S> {
     /// Build a machine whose instrumentation hooks emit into `sink`.
     pub fn with_sink(trace: &'t Trace, arch: Arch, cfg: &SimConfig, sink: S) -> Self {
         cfg.validate();
-        assert!(trace.nodes >= 1 && trace.nodes <= 64);
+        assert!(
+            (1..=64).contains(&trace.nodes),
+            "trace '{}' has {} nodes; the machine models 1..=64",
+            trace.name,
+            trace.nodes
+        );
         let geo = cfg.geometry;
         let homes = assign_homes(&trace.first_toucher, trace.nodes);
         let dir = Directory::new(geo, trace.shared_pages, trace.nodes);
@@ -1816,6 +1821,19 @@ mod tests {
             assert_eq!(r.exec_per_node.len(), t.nodes);
             assert!(r.miss.total() > 0);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "trace 'wide' has 65 nodes; the machine models 1..=64")]
+    fn more_than_64_nodes_is_rejected_with_the_count() {
+        let t = Trace {
+            name: "wide".into(),
+            nodes: 65,
+            shared_pages: 1,
+            first_toucher: vec![NodeId(0)],
+            programs: vec![Default::default(); 65],
+        };
+        Machine::new(&t, Arch::CcNuma, &SimConfig::at_pressure(0.5));
     }
 
     #[test]

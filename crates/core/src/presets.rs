@@ -9,22 +9,12 @@
 //! assert_eq!(cfg.rac_bytes, 512);
 //! ```
 
-use crate::config::{PolicyParams, SimConfig};
-use ascoma_vm::KernelCosts;
+use crate::config::SimConfig;
 
 /// The paper's machine (DESIGN.md §4 calibration) at the given memory
 /// pressure.  Identical to `SimConfig::at_pressure`.
 pub fn paper(pressure: f64) -> SimConfig {
     SimConfig::at_pressure(pressure)
-}
-
-/// The paper machine without a remote access cache — isolates the
-/// "RAC had a larger impact than we had anticipated" effect.
-pub fn no_rac(pressure: f64) -> SimConfig {
-    SimConfig {
-        rac_bytes: 0,
-        ..paper(pressure)
-    }
 }
 
 /// A fast-interconnect variant: roughly the high-end-server ratio the
@@ -41,36 +31,6 @@ pub fn fast_interconnect(pressure: f64) -> SimConfig {
     cfg
 }
 
-/// A slow-kernel variant: unoptimized remapping paths (the paper notes
-/// its interrupt/relocation operations are "highly optimized"; this
-/// models a stock kernel at roughly 4x the cost, which widens every
-/// thrashing effect).
-pub fn slow_kernel(pressure: f64) -> SimConfig {
-    let k = KernelCosts::default();
-    SimConfig {
-        kernel: KernelCosts {
-            relocation_interrupt: k.relocation_interrupt * 4,
-            remap: k.remap * 4,
-            flush_per_block: k.flush_per_block * 4,
-            daemon_context_switch: k.daemon_context_switch * 4,
-            ..k
-        },
-        ..paper(pressure)
-    }
-}
-
-/// An eager-relocation variant: half the relocation threshold, for
-/// studying the "too low → thrashing" end of the paper's tradeoff.
-pub fn eager_relocation(pressure: f64) -> SimConfig {
-    SimConfig {
-        policy: PolicyParams {
-            initial_threshold: 32,
-            ..PolicyParams::default()
-        },
-        ..paper(pressure)
-    }
-}
-
 /// Testing preset: paper machine with machine-wide invariant checking on.
 pub fn checked(pressure: f64) -> SimConfig {
     SimConfig {
@@ -82,20 +42,15 @@ pub fn checked(pressure: f64) -> SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PolicyParams;
     use crate::machine::simulate;
     use crate::Arch;
+    use ascoma_vm::KernelCosts;
     use ascoma_workloads::{App, SizeClass};
 
     #[test]
     fn all_presets_validate() {
-        for cfg in [
-            paper(0.5),
-            no_rac(0.5),
-            fast_interconnect(0.5),
-            slow_kernel(0.5),
-            eager_relocation(0.5),
-            checked(0.5),
-        ] {
+        for cfg in [paper(0.5), fast_interconnect(0.5), checked(0.5)] {
             cfg.validate();
         }
     }
@@ -109,19 +64,41 @@ mod tests {
         assert!(fast.remote_local_ratio() < base.remote_local_ratio());
     }
 
+    /// Unoptimized remapping paths, roughly a stock kernel at 4x the
+    /// paper's "highly optimized" costs, widen every thrashing effect.
     #[test]
     fn slow_kernel_widens_thrashing_penalty() {
         let t = App::Radix.build(SizeClass::Tiny, 4096);
         let base = simulate(&t, Arch::Scoma, &paper(0.9));
-        let slow = simulate(&t, Arch::Scoma, &slow_kernel(0.9));
+        let k = KernelCosts::default();
+        let slow_kernel = SimConfig {
+            kernel: KernelCosts {
+                relocation_interrupt: k.relocation_interrupt * 4,
+                remap: k.remap * 4,
+                flush_per_block: k.flush_per_block * 4,
+                daemon_context_switch: k.daemon_context_switch * 4,
+                ..k
+            },
+            ..paper(0.9)
+        };
+        let slow = simulate(&t, Arch::Scoma, &slow_kernel);
         assert!(slow.exec.k_overhd > base.exec.k_overhd * 2);
     }
 
+    /// Half the relocation threshold: the "too low → thrashing" end of
+    /// the paper's tradeoff.
     #[test]
     fn eager_relocation_relocates_sooner() {
         let t = App::Radix.build(SizeClass::Tiny, 4096);
         let base = simulate(&t, Arch::RNuma, &paper(0.5));
-        let eager = simulate(&t, Arch::RNuma, &eager_relocation(0.5));
+        let eager_relocation = SimConfig {
+            policy: PolicyParams {
+                initial_threshold: 32,
+                ..PolicyParams::default()
+            },
+            ..paper(0.5)
+        };
+        let eager = simulate(&t, Arch::RNuma, &eager_relocation);
         assert!(eager.kernel.upgrades >= base.kernel.upgrades);
     }
 }

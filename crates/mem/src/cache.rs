@@ -127,11 +127,6 @@ impl DirectMappedCache {
         Self::new(8 * 1024, 32)
     }
 
-    /// The paper's RAC: 512 bytes, 128-byte lines.
-    pub fn paper_rac() -> Self {
-        Self::new(512, 128)
-    }
-
     /// First slot of the set line address `addr` maps to.
     #[inline]
     fn set_of(&self, addr: u64) -> usize {
@@ -278,14 +273,6 @@ impl DirectMappedCache {
         (old != EMPTY).then(|| victim(old))
     }
 
-    /// Mark a resident line dirty (e.g. write hit after an upgrade).
-    pub fn mark_dirty(&mut self, addr: VAddr) {
-        let a = self.align(addr);
-        if let Some(i) = self.find(self.set_of(a), a) {
-            self.tags[i] |= DIRTY;
-        }
-    }
-
     /// Invalidate every resident line within the aligned byte range
     /// `[base, base + span_bytes)`.  Returns `(lines_invalidated,
     /// dirty_lines)` so the caller can charge writeback costs.
@@ -385,7 +372,7 @@ mod tests {
     #[test]
     fn paper_l1_has_256_sets() {
         assert_eq!(l1().num_sets(), 256);
-        assert_eq!(DirectMappedCache::paper_rac().num_sets(), 4);
+        assert_eq!(DirectMappedCache::new(512, 128).num_sets(), 4);
     }
 
     #[test]
@@ -483,7 +470,8 @@ mod tests {
 
     #[test]
     fn rac_geometry_conflicts() {
-        let mut rac = DirectMappedCache::paper_rac();
+        // The paper's RAC: 512 bytes, 128-byte lines.
+        let mut rac = DirectMappedCache::new(512, 128);
         rac.fill(VAddr(0), false);
         // 512-byte RAC with 128-byte lines: 512 apart conflicts.
         match rac.access(VAddr(512), false) {
@@ -535,14 +523,5 @@ mod tests {
     #[should_panic]
     fn assoc_rejects_ways_exceeding_capacity() {
         let _ = DirectMappedCache::new_assoc(64, 32, 4);
-    }
-
-    #[test]
-    fn mark_dirty_only_affects_resident_line() {
-        let mut c = l1();
-        c.fill(VAddr(0), false);
-        c.mark_dirty(VAddr(8192)); // different line, same set: no-op
-        let v = c.fill(VAddr(8192), false).unwrap();
-        assert!(!v.dirty);
     }
 }

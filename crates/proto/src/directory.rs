@@ -536,13 +536,6 @@ impl Directory {
         self.entry_view(block.0 as usize).induced
     }
 
-    /// Number of nodes whose refetch count on `page` reached `threshold`.
-    pub fn nodes_at_threshold(&self, page: VPage, threshold: u32) -> usize {
-        (0..self.nodes)
-            .filter(|&n| self.refetch_count(page, NodeId(n as u16)) >= threshold)
-            .count()
-    }
-
     /// Whether any node has ever written to `page`.
     pub fn page_written(&self, page: VPage) -> bool {
         self.page_written[page.0 as usize]
@@ -557,11 +550,6 @@ impl Directory {
         }
         self.replicas[page.0 as usize].insert(node);
         true
-    }
-
-    /// Drop `node`'s replica registration for `page` (local eviction).
-    pub fn remove_replica(&mut self, node: NodeId, page: VPage) {
-        self.replicas[page.0 as usize].remove(node);
     }
 
     /// The first write to a replicated page: returns the replica holders
@@ -873,16 +861,6 @@ mod tests {
         assert!(d.collapse_replicas(N1, VPage(0)).is_empty());
     }
 
-    #[test]
-    fn remove_replica_is_local() {
-        let mut d = dir();
-        assert!(d.add_replica(N1, VPage(1)));
-        assert!(d.add_replica(N2, VPage(1)));
-        d.remove_replica(N1, VPage(1));
-        assert!(!d.replicas_of(VPage(1)).contains(N1));
-        assert!(d.replicas_of(VPage(1)).contains(N2));
-    }
-
     #[cfg(feature = "check")]
     #[test]
     fn skip_forward_fault_drops_only_the_read_forward() {
@@ -895,16 +873,5 @@ mod tests {
         d.fetch(N0, BlockId(1), true);
         let out = d.fetch(N1, BlockId(1), true);
         assert_eq!(out.forward_from, Some(N0), "write forward kept");
-    }
-
-    #[test]
-    fn nodes_at_threshold_counts_hot_requesters() {
-        let mut d = dir();
-        for _ in 0..5 {
-            d.fetch(N0, BlockId(0), false);
-        }
-        d.fetch(N1, BlockId(0), false);
-        assert_eq!(d.nodes_at_threshold(VPage(0), 2), 1);
-        assert_eq!(d.nodes_at_threshold(VPage(0), 100), 0);
     }
 }

@@ -62,12 +62,6 @@ impl Default for KernelCosts {
 }
 
 impl KernelCosts {
-    /// Total `K-OVERHD` charge for relocating one page that had
-    /// `valid_blocks` blocks cached: interrupt + flush + remap.
-    pub fn relocation_cost(&self, valid_blocks: u32) -> Cycles {
-        self.relocation_interrupt + self.flush_per_block * valid_blocks as Cycles + self.remap
-    }
-
     /// Total `K-OVERHD` charge for one daemon run that examined
     /// `examined` pages.
     pub fn daemon_cost(&self, examined: u32) -> Cycles {
@@ -78,15 +72,6 @@ impl KernelCosts {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn relocation_cost_scales_with_residency() {
-        let c = KernelCosts::default();
-        let empty = c.relocation_cost(0);
-        let full = c.relocation_cost(32);
-        assert_eq!(empty, 4000);
-        assert_eq!(full, empty + 32 * 48);
-    }
 
     #[test]
     fn daemon_cost_scales_with_examined() {

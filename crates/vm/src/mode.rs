@@ -35,13 +35,6 @@ impl PageMode {
     pub fn is_scoma(self) -> bool {
         matches!(self, PageMode::Scoma { .. })
     }
-
-    /// True if accesses to the page are serviced from local DRAM when the
-    /// data is present (home or S-COMA).
-    #[inline]
-    pub fn is_local_backed(self) -> bool {
-        matches!(self, PageMode::Home | PageMode::Scoma { .. })
-    }
 }
 
 #[cfg(test)]
@@ -52,9 +45,7 @@ mod tests {
     fn mode_predicates() {
         assert!(PageMode::Scoma { frame: 3 }.is_scoma());
         assert!(!PageMode::Numa.is_scoma());
-        assert!(PageMode::Home.is_local_backed());
-        assert!(PageMode::Scoma { frame: 0 }.is_local_backed());
-        assert!(!PageMode::Numa.is_local_backed());
-        assert!(!PageMode::Unmapped.is_local_backed());
+        assert!(!PageMode::Home.is_scoma());
+        assert!(!PageMode::Unmapped.is_scoma());
     }
 }

@@ -133,10 +133,10 @@ mod tests {
         }
     }
 
-    /// Every generator at every size class fits its stored op words: in
+    /// Every generator at every size class fits its stored op codes: in
     /// every segment the largest address over the segment's granule
-    /// stays below `OP_WORD_LIMIT` (a push beyond it panics).  Prints
-    /// the headroom of the tightest segment.
+    /// stays below `OP_WORD_LIMIT`, 2^27 (a push beyond it panics).
+    /// Prints the headroom of the tightest segment against that limit.
     #[test]
     fn every_size_class_fits_the_op_word() {
         use crate::trace::OP_WORD_LIMIT;
@@ -157,15 +157,17 @@ mod tests {
                     .unwrap_or((0, 1));
                 assert!(
                     field < OP_WORD_LIMIT,
-                    "{} {}: word field {field:#x} at granule {granule} B",
+                    "{} {}: op field {field:#x} at granule {granule} B",
                     app.name(),
                     size.name()
                 );
                 println!(
-                    "{} {}: largest word field {field:#x} at granule {granule} B, headroom {:.1}x",
+                    "{} {}: largest op field {field:#x} at granule {granule} B, \
+                     headroom {:.1}x below 2^{}",
                     app.name(),
                     size.name(),
-                    OP_WORD_LIMIT as f64 / (field + 1) as f64
+                    OP_WORD_LIMIT as f64 / (field + 1) as f64,
+                    OP_WORD_LIMIT.trailing_zeros()
                 );
             }
         }

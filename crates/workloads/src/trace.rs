@@ -19,9 +19,9 @@ use ascoma_sim::NodeId;
 /// One memory operation, packed into a `u64`:
 /// bits 2.. = byte address, bit 1 = private, bit 0 = write.
 ///
-/// This is the value type of an operation.  A [`Segment`] stores it in
-/// a 3-byte word per operation ([`Ops`]), so a stored address must lie
-/// below [`OP_WORD_LIMIT`] times its segment's [`Ops::granule`].
+/// This is the value type of an operation.  A [`Segment`] stores it as
+/// a 1–4-byte delta code ([`Ops`]), so a stored address must lie below
+/// [`OP_WORD_LIMIT`] times its segment's [`Ops::granule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PackedOp(pub u64);
 
@@ -52,70 +52,70 @@ impl PackedOp {
     }
 }
 
-/// Exclusive upper bound of a stored word's address field: an op in a
+/// Exclusive upper bound of a stored address in granules: an op in a
 /// segment of granule `g` must have `addr / g` below this, so the limit
-/// is 4 MiB at granule 1 and 512 MiB at the largest granule.
-pub const OP_WORD_LIMIT: u64 = 1 << 22;
+/// is 128 MiB at granule 1 and 16 GiB at the largest granule.  Two
+/// fields below it differ by less than 2^27, so a zigzag delta fits the
+/// 28 payload bits of the longest code.
+pub const OP_WORD_LIMIT: u64 = 1 << 27;
 
 /// log2 of the largest [`Ops::granule`] (128 B).
 pub const MAX_GRANULE_SHIFT: u32 = 7;
 
-/// A segment's operations in program order, one 3-byte little-endian
-/// word each: bits 2..24 hold `addr >> shift`, bit 1 the private flag
-/// and bit 0 the write flag.
+/// Zero bytes after the last code, so that every code can be read with
+/// one 4-byte load that starts at its first byte.
+const TAIL: usize = 3;
+
+/// A segment's operations in program order, each stored as a delta code
+/// of 1–4 bytes.
 ///
 /// `1 << shift` is the segment's *granule*: the largest power of two,
 /// at most 2^[`MAX_GRANULE_SHIFT`], that divides every address pushed
-/// so far.  A push that lowers it re-packs the earlier words in place,
-/// so the words are lossless and canonical (equal op sequences store
-/// equal bytes).  Once a word is stored the bytes start with one zero
-/// pad byte, so every word can be read with one 4-byte load that ends
-/// at its last byte.
+/// so far, and `addr >> shift` is an op's *field*.  Each op stores the
+/// zigzag difference between its field and the field of the previous
+/// op of the same class (write, private) in the segment; the four
+/// predictors start at 0, so a segment decodes on its own.  The code is
+/// a little-endian prefix varint: its first byte holds the length minus
+/// one in bits 0–1, the write flag in bit 2, the private flag in bit 3
+/// and the low 4 bits of the zigzag delta, and each further byte 8 more
+/// bits (4/12/20/28 payload bits).  Three zero bytes follow the last
+/// code.
 ///
-/// Stored traces are most of a run's memory, and every generator's
-/// fields fit 22 bits with room to spare, so a fourth byte per op would
-/// only ever hold zeros.  [`Ops::push`] asserts the address fits; a
-/// word is never truncated.
+/// A push that lowers the granule re-encodes the segment, so the codes
+/// are lossless and canonical: equal op sequences store equal bytes.
+/// Stored traces are most of a run's memory, and the generators' streams
+/// step through memory in small strides, so most ops take one byte.
+/// [`Ops::push`] asserts the address fits; a code is never truncated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ops {
     bytes: Vec<u8>,
+    /// Number of operations.
+    len: usize,
     /// log2 of the granule.
     shift: u32,
-    /// The address bits a push must find clear, `!((OP_WORD_LIMIT - 1)
-    /// << shift)`: kept beside `shift` so the fast path is one test.
+    /// Bit width of the largest field stored so far.
+    bits: u32,
+    /// The address bits a push must find clear, `!((2^bits - 1) <<
+    /// shift)`: kept beside `shift` so the fast path is one test.
     reject: u64,
+    /// The last field pushed per class (`PackedOp`'s low two bits).
+    pred: [u32; 4],
 }
 
 impl Default for Ops {
     fn default() -> Self {
-        Self {
-            bytes: Vec::new(),
-            shift: MAX_GRANULE_SHIFT,
-            reject: reject_mask(MAX_GRANULE_SHIFT),
-        }
+        Self::at_shift(MAX_GRANULE_SHIFT)
     }
 }
 
-/// The address bits that must be clear for an address to fit a word at
-/// granule `1 << shift`: its low bits and everything above the field.
-const fn reject_mask(shift: u32) -> u64 {
-    !((OP_WORD_LIMIT - 1) << shift)
-}
-
-/// The op a stored `word` holds at granule `1 << shift`.
-#[inline]
-fn decode(word: u32, shift: u32) -> PackedOp {
-    PackedOp(u64::from(word & !3) << shift | u64::from(word & 3))
-}
-
-/// Panic unless `addr` fits a word at granule `1 << shift`.
+/// Panic unless `addr` fits a code at granule `1 << shift`.
 #[inline]
 fn assert_fits(addr: u64, shift: u32) {
     #[cold]
     #[inline(never)]
     fn too_large(addr: u64, shift: u32) -> ! {
         panic!(
-            "trace op address {addr:#x} does not fit a 24-bit op word at granule {} B \
+            "trace op address {addr:#x} does not fit the 27-bit op field at granule {} B \
              (limit {:#x})",
             1u64 << shift,
             OP_WORD_LIMIT << shift
@@ -126,7 +126,30 @@ fn assert_fits(addr: u64, shift: u32) {
     }
 }
 
+/// The code at the front of `bytes`, which must reach at least 4 bytes
+/// (the zero tail pads the last codes): its length in bytes, its class
+/// and its zigzag value.
+#[inline]
+fn front(bytes: &[u8]) -> Option<(usize, usize, u32)> {
+    /// The bytes of a code of each length.
+    const MASK: [u32; 4] = [0xff, 0xffff, 0xff_ffff, !0];
+    let w = u32::from_le_bytes(*bytes.first_chunk::<4>()?);
+    let extra = (w & 3) as usize;
+    Some((extra + 1, (w >> 2 & 3) as usize, (w & MASK[extra]) >> 4))
+}
+
 impl Ops {
+    fn at_shift(shift: u32) -> Self {
+        Self {
+            bytes: Vec::new(),
+            len: 0,
+            shift,
+            bits: 0,
+            reject: !0,
+            pred: [0; 4],
+        }
+    }
+
     /// Append `op`.
     ///
     /// # Panics
@@ -136,62 +159,103 @@ impl Ops {
     pub fn push(&mut self, op: PackedOp) {
         let addr = op.addr();
         // One test covers both slow cases: `addr` is not a multiple of
-        // the granule, or its field does not fit a word.
+        // the granule, or its field is wider than every stored field.
         if addr & self.reject != 0 {
-            self.regranule(addr);
+            self.admit(addr);
         }
-        let word = ((addr >> self.shift) << 2) as u32 | (op.0 & 3) as u32;
-        if self.bytes.is_empty() {
-            self.bytes.push(0);
-        }
-        self.bytes.extend_from_slice(&word.to_le_bytes()[..3]);
+        let field = (addr >> self.shift) as u32;
+        let class = (op.0 & 3) as usize;
+        let delta = field.wrapping_sub(self.pred[class]) as i32;
+        self.pred[class] = field;
+        self.put(((delta << 1) ^ (delta >> 31)) as u32, class as u32);
     }
 
-    /// The stored words, after the pad byte.
+    /// Append the code of a zigzag value below 2^28 in `class`.
     #[inline]
-    fn words(&self) -> &[u8] {
-        self.bytes.get(1..).unwrap_or_default()
+    fn put(&mut self, zigzag: u32, class: u32) {
+        let body = zigzag << 4 | class << 2;
+        // Length minus one, from the highest set bit: no branch.
+        let extra = (body | 0xf).ilog2() / 8;
+        // Overwrite the zero tail with the code and its zero high bytes,
+        // then cut the high bytes the code does not use.
+        let at = self.bytes.len().saturating_sub(TAIL);
+        self.bytes.truncate(at);
+        self.bytes
+            .extend_from_slice(&u64::from(body | extra).to_le_bytes()[..4 + TAIL]);
+        let end = self.bytes.len() - (3 - extra as usize);
+        self.bytes.truncate(end);
+        self.len += 1;
     }
 
-    /// Lower the granule to the largest that also divides `addr`, and
-    /// re-pack the stored words at it.
+    /// The slow path of a push: `addr` is not a multiple of the granule,
+    /// or its field is wider than every stored field.  Lower the granule
+    /// to the largest that also divides `addr`, re-encoding the stored
+    /// codes at it, and widen `bits` to cover `addr`.  A field widens at
+    /// most 27 times and the granule drops at most 7 times per segment.
     ///
     /// # Panics
-    /// If `addr` or a stored address does not fit a word at the new
-    /// granule; every check runs before any word is rewritten.
+    /// If `addr` or a stored address does not fit at the new granule;
+    /// every check runs before the codes are replaced.
     #[cold]
     #[inline(never)]
-    fn regranule(&mut self, addr: u64) {
+    fn admit(&mut self, addr: u64) {
         let shift = addr.trailing_zeros().min(self.shift);
         assert_fits(addr, shift);
         let up = self.shift - shift;
-        // A field grows by `up` bits, so every stored word still fits iff
-        // the top `up` bits of its top byte are clear.
-        let tops = self.words().chunks_exact(3).fold(0, |acc, w| acc | w[2]);
-        if u32::from(tops) >> (8 - up) != 0 {
-            assert_fits(self.iter().map(PackedOp::addr).max().unwrap_or(0), shift);
+        if up > 0 {
+            // `bits` is the exact width of the largest stored field, so
+            // the fields scaled by 2^up all fit iff `bits + up` <= 27.
+            // Only when one does not is the segment decoded, to name the
+            // largest address in the panic.
+            if self.bits > 0 && self.bits + up > OP_WORD_LIMIT.trailing_zeros() {
+                assert_fits(self.iter().map(PackedOp::addr).max().unwrap_or(0), shift);
+            }
+            self.rescale(up);
         }
-        // Four words per u128: each 24-bit lane keeps its flags and
-        // shifts its field, which cannot carry into the next lane.
-        const FLAGS: u128 = 3 | 3 << 24 | 3 << 48 | 3 << 72;
-        const FIELDS: u128 = ((1 << 96) - 1) ^ FLAGS;
-        let repack = |q: &mut [u8]| {
-            let mut buf = [0; 16];
-            buf[..q.len()].copy_from_slice(q);
-            let x = u128::from_le_bytes(buf);
-            q.copy_from_slice(&((x & FIELDS) << up | x & FLAGS).to_le_bytes()[..q.len()]);
-        };
-        let mut quads = self
-            .bytes
-            .get_mut(1..)
-            .unwrap_or_default()
-            .chunks_exact_mut(12);
-        for q in &mut quads {
-            repack(q);
+        self.bits = self.bits.max(u64::BITS - (addr >> shift).leading_zeros());
+        self.reject = !(((1 << self.bits) - 1) << shift);
+    }
+
+    /// Re-encode the codes at a granule `2^up` times finer.  Every field,
+    /// predictor and delta scales by `2^up`, so a code's zigzag value `z`
+    /// becomes `((z + (z & 1)) << up) - (z & 1)`, with no predictor decoded.
+    fn rescale(&mut self, up: u32) {
+        let end = self.bytes.len().saturating_sub(TAIL);
+        let mut out = Self::at_shift(self.shift - up);
+        out.bytes.reserve(self.bytes.capacity());
+        let mut at = 0;
+        while at < end {
+            // Eight 1-byte codes with `z` below 8 stay 1-byte codes when
+            // the granule halves: `z` becomes `2z + (z & 1)`, a per-byte
+            // shift that cannot carry into the next code.  Barnes drops
+            // its granule from 128 to 64 B after long runs of them.
+            if let Some(&eight) = self.bytes[at..end].first_chunk::<8>() {
+                /// Per byte: the length bits and the top bit of `z`.
+                const LONG_OR_WIDE: u64 = u64::from_le_bytes([0x83; 8]);
+                /// Per byte: the low 3 bits of `z`.
+                const Z: u64 = u64::from_le_bytes([0x70; 8]);
+                /// Per byte: the flags and the low bit of `z`.
+                const KEEP: u64 = u64::from_le_bytes([0x1c; 8]);
+                let x = u64::from_le_bytes(eight);
+                if up == 1 && x & LONG_OR_WIDE == 0 {
+                    let y = (x & Z) << 1 | x & KEEP;
+                    out.bytes.truncate(out.bytes.len().saturating_sub(TAIL));
+                    out.bytes.extend_from_slice(&y.to_le_bytes());
+                    out.bytes.extend_from_slice(&[0; TAIL]);
+                    out.len += 8;
+                    at += 8;
+                    continue;
+                }
+            }
+            let Some((n, class, z)) = front(&self.bytes[at..]) else {
+                break;
+            };
+            out.put(((z + (z & 1)) << up) - (z & 1), class as u32);
+            at += n;
         }
-        repack(quads.into_remainder());
-        self.shift = shift;
-        self.reject = reject_mask(shift);
+        out.bits = if self.bits == 0 { 0 } else { self.bits + up };
+        out.pred = self.pred.map(|p| p << up);
+        *self = out;
     }
 
     /// The segment's granule in bytes: every stored address is a
@@ -204,20 +268,21 @@ impl Ops {
     /// Number of operations.
     #[inline]
     pub fn len(&self) -> usize {
-        self.bytes.len() / 3
+        self.len
     }
 
     /// Whether there are no operations.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
     }
 
     /// The operations, in program order.
     #[inline]
     pub fn iter(&self) -> OpsIter<'_> {
         OpsIter {
-            words: self.words().chunks_exact(3),
+            bytes: &self.bytes,
+            pred: [0; 4],
             shift: self.shift,
         }
     }
@@ -232,28 +297,36 @@ impl<'a> IntoIterator for &'a Ops {
     }
 }
 
-/// Iterator over an [`Ops`], decoding each word into a [`PackedOp`].
+/// Iterator over an [`Ops`], decoding each code into a [`PackedOp`]:
+/// the bytes from the next code on, the four class predictors and the
+/// granule shift.
 #[derive(Debug, Clone)]
 pub struct OpsIter<'a> {
-    words: std::slice::ChunksExact<'a, u8>,
+    bytes: &'a [u8],
+    pred: [u32; 4],
     shift: u32,
 }
 
 impl Iterator for OpsIter<'_> {
     type Item = PackedOp;
 
+    /// Decode the next op; `None` once only the zero tail is left.
     #[inline]
     fn next(&mut self) -> Option<PackedOp> {
-        let w = self.words.next()?;
-        Some(decode(
-            u32::from_le_bytes([w[0], w[1], w[2], 0]),
-            self.shift,
+        let (n, class, z) = front(self.bytes)?;
+        self.bytes = &self.bytes[n..];
+        let field = self.pred[class].wrapping_add((z >> 1) ^ (z & 1).wrapping_neg());
+        self.pred[class] = field;
+        Some(PackedOp(
+            u64::from(field) << (self.shift + 2) | class as u64,
         ))
     }
 
+    /// Every code takes 1–4 bytes.
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.words.size_hint()
+        let n = self.bytes.len().saturating_sub(TAIL);
+        (n.div_ceil(4), Some(n))
     }
 }
 
@@ -278,7 +351,7 @@ impl Segment {
     /// Append a shared-memory operation.
     ///
     /// # Panics
-    /// If the segment's addresses stop fitting its op words (see
+    /// If the segment's addresses stop fitting its op codes (see
     /// [`Ops::push`]).
     #[inline]
     pub fn push(&mut self, addr: u64, write: bool) {
@@ -289,7 +362,7 @@ impl Segment {
     /// private region).
     ///
     /// # Panics
-    /// If the segment's addresses stop fitting its op words (see
+    /// If the segment's addresses stop fitting its op codes (see
     /// [`Ops::push`]).
     #[inline]
     pub fn push_private(&mut self, offset: u64, write: bool) {
@@ -544,13 +617,10 @@ impl Trace {
 pub struct TraceRunner<'a> {
     program: &'a NodeProgram,
     sched_idx: usize,
-    /// The current segment's op bytes from the byte before its next word
-    /// on (fewer than 4 once it is done).  Caching the slice keeps the
+    /// Decoding position in the current segment.  Caching it keeps the
     /// per-op path to one bounds check instead of schedule → segment
     /// table → ops re-resolution.
-    cur_ops: &'a [u8],
-    /// Granule shift of the current segment.
-    cur_shift: u32,
+    cur: OpsIter<'a>,
     /// `compute_per_op` of the current segment.
     cur_compute: u32,
 }
@@ -585,17 +655,17 @@ impl<'a> TraceRunner<'a> {
         Self {
             program,
             sched_idx: 0,
-            cur_ops: &[],
-            cur_shift: 0,
+            cur: OpsIter {
+                bytes: &[],
+                pred: [0; 4],
+                shift: 0,
+            },
             cur_compute: 0,
         }
     }
 
     #[inline]
-    fn access(bytes: [u8; 4], shift: u32, pre_compute: u32) -> Op {
-        // The word is the top three bytes; the first is the pad byte or
-        // the previous word's last byte.
-        let op = decode(u32::from_le_bytes(bytes) >> 8, shift);
+    fn access(op: PackedOp, pre_compute: u32) -> Op {
         Op::Access {
             addr: VAddr(op.addr()),
             write: op.write(),
@@ -608,11 +678,9 @@ impl<'a> TraceRunner<'a> {
     #[allow(clippy::should_implement_trait)] // borrowed iterator; keep inherent
     #[inline]
     pub fn next(&mut self) -> Option<Op> {
-        // Fast path: still inside the current segment.  The pad byte
-        // keeps the 4-byte load of the first word in bounds.
-        if let Some(&w) = self.cur_ops.first_chunk::<4>() {
-            self.cur_ops = &self.cur_ops[3..];
-            return Some(Self::access(w, self.cur_shift, self.cur_compute));
+        // Fast path: still inside the current segment.
+        if let Some(op) = self.cur.next() {
+            return Some(Self::access(op, self.cur_compute));
         }
         loop {
             let item = self.program.schedule.get(self.sched_idx)?;
@@ -620,11 +688,10 @@ impl<'a> TraceRunner<'a> {
             match *item {
                 ScheduleItem::Run(seg_idx) => {
                     let seg = &self.program.segments[seg_idx as usize];
-                    if let Some(&w) = seg.ops.bytes.first_chunk::<4>() {
-                        self.cur_ops = &seg.ops.bytes[3..];
-                        self.cur_shift = seg.ops.shift;
+                    self.cur = seg.ops.iter();
+                    if let Some(op) = self.cur.next() {
                         self.cur_compute = seg.compute_per_op;
-                        return Some(Self::access(w, seg.ops.shift, seg.compute_per_op));
+                        return Some(Self::access(op, seg.compute_per_op));
                     }
                 }
                 ScheduleItem::Compute(c) => return Some(Op::Compute(c)),
@@ -654,7 +721,8 @@ mod tests {
 
     #[test]
     fn op_word_roundtrips_at_the_address_limit() {
-        // The top address at granules 1, 32 and 128.
+        // The top address at granules 1, 32 and 128: a 28-bit zigzag
+        // delta, the longest code.
         for (granule, top) in [
             (1, OP_WORD_LIMIT - 1),
             (32, (OP_WORD_LIMIT - 1) * 32),
@@ -675,42 +743,65 @@ mod tests {
                         assert_eq!(op, PackedOp::new(top, write, private));
                         assert_eq!((op.addr(), op.write(), op.private()), (top, write, private));
                         assert_eq!(stored.granule(), granule);
-                        assert_eq!(stored.bytes.len(), 4, "one word and the pad byte");
+                        assert_eq!(stored.bytes.len(), 4 + TAIL, "one 4-byte code and the tail");
                     }
                 }
             }
         }
     }
 
-    /// The stored bytes `ops` must hold: one pad byte, then every
-    /// address at the largest granule (at most 128 B) that divides them
-    /// all.
-    fn expected_bytes(ops: &[PackedOp]) -> Vec<u8> {
+    /// The code of every op in `ops`, written the plain way: the zigzag
+    /// difference from the previous field of the op's class, at the
+    /// largest granule (at most 128 B) dividing every address, in the
+    /// fewest bytes that hold it.
+    fn model_codes(ops: &[PackedOp]) -> Vec<Vec<u8>> {
         let shift = ops
             .iter()
             .map(|op| op.addr().trailing_zeros())
             .fold(MAX_GRANULE_SHIFT, u32::min);
-        let words = ops.iter().flat_map(|op| {
-            let word = (op.addr() >> shift) << 2 | (op.0 & 3);
-            word.to_le_bytes().into_iter().take(3)
-        });
-        let pad = (!ops.is_empty()).then_some(0);
-        pad.into_iter().chain(words).collect()
+        let mut pred = [0i64; 4];
+        ops.iter()
+            .map(|op| {
+                let class = (op.0 & 3) as usize;
+                let field = (op.addr() >> shift) as i64;
+                let delta = field - pred[class];
+                pred[class] = field;
+                let zigzag = if delta < 0 { -2 * delta - 1 } else { 2 * delta } as u64;
+                let len = (1..=4).find(|&n| zigzag < 1 << (8 * n - 4)).unwrap();
+                let code = zigzag << 4 | (class as u64) << 2 | (len - 1) as u64;
+                code.to_le_bytes()[..len].to_vec()
+            })
+            .collect()
+    }
+
+    /// The stored bytes `ops` must hold: their codes, then the zero tail.
+    fn expected_bytes(ops: &[PackedOp]) -> Vec<u8> {
+        let mut bytes = model_codes(ops).concat();
+        if !ops.is_empty() {
+            bytes.extend([0; TAIL]);
+        }
+        bytes
     }
 
     /// Random segments against a plain `Vec<u64>` model, stored and
-    /// replayed: aligned pushes first, then finer ones that re-pack the
-    /// earlier words, address 0, and private offsets mixed with shared
-    /// addresses.
+    /// replayed: the four flag classes interleaved, steps from the
+    /// class's previous address that need every code length in both
+    /// directions, aligned pushes first and finer ones past the middle
+    /// that re-encode the segment, address 0, and the top address.
     #[test]
     fn ops_round_trip_against_a_u64_model() {
         let mut rng = ascoma_sim::rng::SimRng::seed_from(0x24b1);
+        // Codes seen per length, and negative deltas seen.
+        let mut lengths = [0usize; 4];
+        let mut negative = 0;
+        let mut finer_mid_segment = 0;
         for case in 0..400 {
             // The finest granule this segment reaches bounds every address.
             let finest = rng.below(u64::from(MAX_GRANULE_SHIFT) + 1) as u32;
             let limit = OP_WORD_LIMIT << finest;
             let mut seg = Segment::new(0);
             let mut model: Vec<u64> = Vec::new();
+            let mut last = [0u64; 4];
             let n = rng.range(1, 200);
             for i in 0..n {
                 // Coarse addresses first; finer ones only past the middle.
@@ -719,17 +810,32 @@ mod tests {
                 } else {
                     rng.range(u64::from(finest), u64::from(MAX_GRANULE_SHIFT) + 1) as u32
                 };
-                let addr = match rng.below(8) {
-                    0 => 0,
-                    1 => limit - (1 << shift),
-                    _ => rng.below(limit >> shift) << shift,
-                };
                 let (write, private) = (rng.chance(0.5), rng.chance(0.3));
+                let class = usize::from(private) << 1 | usize::from(write);
+                let g = 1u64 << shift;
+                let addr = match rng.below(10) {
+                    0 => 0,
+                    1 => limit - g,
+                    2 => rng.below(limit >> shift) << shift,
+                    k => {
+                        // A step of up to 2^3, 2^11 or 2^19 granules.
+                        let step = rng.below(1 << [3, 11, 19][k as usize % 3]) * g;
+                        let base = last[class] >> shift << shift;
+                        if rng.chance(0.5) {
+                            base.saturating_sub(step)
+                        } else {
+                            (base + step).min(limit - g)
+                        }
+                    }
+                };
+                last[class] = addr;
+                let before = seg.ops.granule();
                 if private {
                     seg.push_private(addr, write);
                 } else {
                     seg.push(addr, write);
                 }
+                finer_mid_segment += usize::from(i > 0 && seg.ops.granule() < before);
                 model.push(PackedOp::new(addr, write, private).0);
                 assert_eq!(seg.ops.len(), model.len());
                 let last = seg.ops.iter().last().unwrap();
@@ -739,6 +845,10 @@ mod tests {
             assert_eq!(stored, model, "case {case}");
             let model_ops: Vec<PackedOp> = model.iter().map(|&w| PackedOp(w)).collect();
             assert_eq!(seg.ops.bytes, expected_bytes(&model_ops), "case {case}");
+            for code in model_codes(&model_ops) {
+                lengths[code.len() - 1] += 1;
+                negative += usize::from(code.len() > 1 && code[0] & 0x10 != 0);
+            }
             assert!(seg.ops.granule() >= 1 << finest, "case {case}");
             // The runner's 4-byte loads decode the same stream.
             let mut p = NodeProgram::default();
@@ -758,6 +868,59 @@ mod tests {
                 .collect();
             assert_eq!(replayed, model, "case {case}");
         }
+        // The draws reach every code length, backward steps and
+        // re-encodes after the first push.
+        assert!(
+            lengths.iter().all(|&n| n >= 100),
+            "code lengths {lengths:?}"
+        );
+        assert!(negative >= 100, "{negative} negative deltas");
+        assert!(
+            finer_mid_segment >= 100,
+            "{finer_mid_segment} granule drops"
+        );
+    }
+
+    /// A granule drop after long runs of short steps, the barnes shape:
+    /// at every drop from 128 B, the rescaled codes equal a fresh encode
+    /// of the whole segment, runs of 1-byte codes and longer codes alike.
+    #[test]
+    fn rescale_after_short_steps_matches_a_fresh_encode() {
+        let mut rng = ascoma_sim::rng::SimRng::seed_from(0x5ca1e);
+        for up in 1..=MAX_GRANULE_SHIFT {
+            for case in 0..20 {
+                let mut seg = Segment::new(0);
+                let mut model = Vec::new();
+                let mut last = [1u64 << 20; 4];
+                for i in 0..300 {
+                    // Mostly steps of at most 3 granules, some of up to 40.
+                    let class = if rng.chance(0.1) {
+                        rng.below(4) as usize
+                    } else {
+                        0
+                    };
+                    let reach = if rng.chance(0.9) { 4 } else { 41 };
+                    let step = rng.below(reach) << MAX_GRANULE_SHIFT;
+                    let base = last[class];
+                    last[class] = if rng.chance(0.5) {
+                        base + step
+                    } else {
+                        base - step
+                    };
+                    // Past the middle, one push at the finer granule.
+                    let addr = last[class] + if i == 150 { 128 >> up } else { 0 };
+                    let op = PackedOp::new(addr, class & 1 != 0, class & 2 != 0);
+                    seg.ops.push(op);
+                    model.push(op);
+                }
+                assert_eq!(seg.ops.granule(), 128 >> up);
+                assert_eq!(seg.ops.bytes, expected_bytes(&model), "up {up} case {case}");
+                assert!(
+                    seg.ops.iter().eq(model.iter().copied()),
+                    "up {up} case {case}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -766,11 +929,12 @@ mod tests {
         ops.push(PackedOp::new(0, true, true));
         ops.push(PackedOp::new(0, false, false));
         assert_eq!(ops.granule(), 1 << MAX_GRANULE_SHIFT);
-        assert_eq!(ops.bytes, [0, 3, 0, 0, 0, 0, 0]);
+        // Two 1-byte codes of delta 0, classes 3 and 0, then the tail.
+        assert_eq!(ops.bytes, [0b1100, 0, 0, 0, 0]);
     }
 
     #[test]
-    #[should_panic(expected = "0x400000 does not fit a 24-bit op word at granule 1 B")]
+    #[should_panic(expected = "0x8000000 does not fit the 27-bit op field at granule 1 B")]
     fn push_at_the_address_limit_panics() {
         let mut seg = Segment::new(0);
         seg.push(1, false);
@@ -779,7 +943,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "0x8000000 does not fit a 24-bit op word at granule 32 B")]
+    #[should_panic(expected = "0x100000000 does not fit the 27-bit op field at granule 32 B")]
     fn push_private_at_the_address_limit_panics() {
         let mut seg = Segment::new(0);
         seg.push_private(32, true);
@@ -788,50 +952,57 @@ mod tests {
     }
 
     /// A finer granule can push an earlier address out of range: the
-    /// re-pack checks every stored word before it rewrites any.
+    /// re-encode checks every stored address before it replaces a code.
     #[test]
-    #[should_panic(expected = "0x400000 does not fit a 24-bit op word at granule 1 B")]
+    #[should_panic(expected = "0x8000000 does not fit the 27-bit op field at granule 1 B")]
     fn regranule_past_an_earlier_address_panics() {
         let mut seg = Segment::new(0);
         seg.push(OP_WORD_LIMIT, false);
         seg.push(1, false);
     }
 
-    /// Stored bytes of every segment of `t`, and its static op count.
-    fn op_storage(t: &Trace) -> (usize, usize, usize) {
+    /// Stored bytes of every segment of `t` (capacity, so slack left by
+    /// segment construction counts), and its static op count.
+    fn op_storage(t: &Trace) -> (usize, usize) {
         let segs = || t.programs.iter().flat_map(|p| &p.segments);
         let static_ops = segs().map(|s| s.ops.len()).sum();
-        let pads = segs().filter(|s| !s.ops.is_empty()).count();
         let bytes = segs().map(|s| s.ops.bytes.capacity()).sum();
-        (static_ops, pads, bytes)
-    }
-
-    /// Memory guard: a stored op is one 3-byte word plus one pad byte
-    /// per segment, with no slack capacity left behind by segment
-    /// construction.
-    #[test]
-    fn em3d_default_op_storage_is_three_bytes_per_static_op() {
-        let t = crate::App::Em3d.build(crate::SizeClass::Default, 4096);
-        let (static_ops, pads, bytes) = op_storage(&t);
-        assert_eq!(static_ops, 1_181_696);
-        assert_eq!(bytes, 3 * static_ops + pads);
+        (static_ops, bytes)
     }
 
     /// Memory guard on the `remote-thrash` benchmark's two traces, radix
-    /// at Paper size and barnes at Default: 3 bytes per static op plus
-    /// the pad bytes, pinned to the byte.
+    /// at Paper size and barnes at Default, pinned to the byte.
     #[test]
     fn radix_paper_and_barnes_default_op_storage() {
         let radix = crate::App::Radix.build(crate::SizeClass::Paper, 4096);
         let barnes = crate::App::Barnes.build(crate::SizeClass::Default, 4096);
-        let mut got = Vec::new();
-        for t in [&radix, &barnes] {
-            let (static_ops, pads, bytes) = op_storage(t);
-            assert_eq!(bytes, 3 * static_ops + pads, "{}", t.name);
-            got.push((static_ops, bytes));
-        }
-        // 10.6 MiB together, where 4-byte words took 14.2 MiB.
-        assert_eq!(got, [(3_407_872, 10_223_656), (313_344, 940_112)]);
+        let got = [op_storage(&radix), op_storage(&barnes)];
+        // 5.7 MB together.
+        assert_eq!(got, [(3_407_872, 5_368_529), (313_344, 318_116)]);
+    }
+
+    /// Memory guard on every app at Default size, pinned to the byte, so
+    /// a codec change that costs a byte anywhere fails here.
+    #[test]
+    fn every_app_default_op_storage() {
+        let got: Vec<(&str, usize, usize)> = crate::App::ALL
+            .iter()
+            .map(|app| {
+                let (ops, bytes) = op_storage(&app.build(crate::SizeClass::Default, 4096));
+                (app.name(), ops, bytes)
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("barnes", 313_344, 318_116),
+                ("em3d", 1_181_696, 1_854_097),
+                ("fft", 123_904, 124_110),
+                ("lu", 1_455_808, 1_495_947),
+                ("ocean", 70_144, 70_396),
+                ("radix", 851_968, 1_337_963),
+            ]
+        );
     }
 
     /// The runner decodes exactly what was stored: its access stream is

@@ -51,11 +51,11 @@ step "panic lint (unwrap/expect in library code)"
 # lines, flag unwrap/expect calls.
 #
 # The scan set is `find crates/*/src`, so it picks up new modules
-# automatically — but the controller stack and the event-log decoder
-# are load-bearing enough that their files are asserted into coverage
-# here: a rename that silently dropped them from the scan would
-# otherwise go unnoticed.
-for must in crates/obs/src/control.rs crates/obs/src/log.rs; do
+# automatically — but the controller stack, the event-log decoder and
+# the trace-op decoder are load-bearing enough that their files are
+# asserted into coverage here: a rename that silently dropped them from
+# the scan would otherwise go unnoticed.
+for must in crates/obs/src/control.rs crates/obs/src/log.rs crates/workloads/src/trace.rs; do
     if [ ! -f "$must" ]; then
         echo "panic lint: $must missing from the scan set (moved without updating check.sh?)"
         exit 1
